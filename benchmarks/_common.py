@@ -43,22 +43,16 @@ def exec_runner(default_jobs: int = 1) -> ParallelRunner:
     Environment knobs (benches run under pytest, which has no custom
     flags of its own here):
 
-    * ``REPRO_JOBS``           — worker processes (default: ``default_jobs``);
-    * ``REPRO_CACHE_DIR``      — enable the content-addressed result cache;
-    * ``REPRO_SCENARIO_CACHE`` — enable the built-scenario cache
-      (skeleton reuse across seeds/reruns; bit-identical by contract).
+    * ``REPRO_JOBS``       — worker processes (default: ``default_jobs``);
+    * ``REPRO_CACHE_DIR``  — enable the content-addressed result cache.
 
     Results are byte-identical whatever ``REPRO_JOBS`` is (enforced by
-    ``tests/exec/test_determinism.py``) and whether either cache is cold
-    or warm, so the shape assertions at the end of each bench hold at
-    any parallelism and cache temperature.
+    ``tests/exec/test_determinism.py``), so the shape assertions at the
+    end of each bench hold at any parallelism.
     """
     jobs = int(os.environ.get("REPRO_JOBS", str(default_jobs)))
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    scenario_cache_dir = os.environ.get("REPRO_SCENARIO_CACHE") or None
-    return ParallelRunner(
-        jobs=jobs, cache_dir=cache_dir, scenario_cache_dir=scenario_cache_dir
-    )
+    return ParallelRunner(jobs=jobs, cache_dir=cache_dir)
 
 
 def exec_footer(runner: ParallelRunner) -> str:

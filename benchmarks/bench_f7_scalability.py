@@ -21,19 +21,12 @@ asserted bit-identical, so the big-N rows carry the same evidence
 status as the small-N ones. The final row — 10k nodes at 4× the
 duration — is array-only: the oracle would need minutes for it, which
 is exactly the reachability gap the kernel exists to close.
-
-Scenario construction at these sizes is itself the setup bottleneck;
-set ``REPRO_SCENARIO_CACHE`` to serve repeat builds from the
-content-addressed skeleton cache (bit-identical by contract, see
-``bench_perf_scenario.py``).
 """
 
-import os
 import time
 
 from repro.exec import ComparisonTask
 from repro.workloads import dophy_approach, dynamic_rgg_scenario, format_table
-from repro.workloads.scenario_cache import ScenarioCache
 
 from _common import emit, exec_footer, exec_runner, run_once
 
@@ -57,13 +50,6 @@ LARGE_MIN_SUPPORT = 10
 #: One replicate per size, all independent — the engine shards them over
 #: REPRO_JOBS workers and caches each under REPRO_CACHE_DIR.
 RUNNER = exec_runner()
-
-#: Skeleton cache for the direct (non-runner) engine-identity runs;
-#: comparisons routed through RUNNER pick the same knob up via
-#: exec_runner(). Identity holds cold, warm, or uncached — that is the
-#: cache's contract, and this bench exercises it at sweep scale.
-_CACHE_DIR = os.environ.get("REPRO_SCENARIO_CACHE") or None
-SCENARIO_CACHE = ScenarioCache(_CACHE_DIR) if _CACHE_DIR else None
 
 
 def _large_scenario(nodes, duration, traffic_period):
@@ -119,7 +105,7 @@ def _engine_identity():
         runs = {}
         for engine in ("event", "array"):
             scenario = _large_scenario(n, dur, tp).with_config(engine=engine)
-            sim = scenario.make_simulation(SEED, scenario_cache=SCENARIO_CACHE)
+            sim = scenario.make_simulation(SEED)
             t0 = time.perf_counter()
             result = sim.run()
             runs[engine] = (time.perf_counter() - t0, result)

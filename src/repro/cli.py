@@ -22,10 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.workloads.scenario_cache import ScenarioCache
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core import DophyConfig, DophySystem
 from repro.sanitize import hooks as _sanitize_hooks
@@ -96,16 +93,6 @@ def _make_scenario(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _scenario_cache(args: argparse.Namespace) -> Optional["ScenarioCache"]:
-    """The built-scenario cache selected by ``--scenario-cache``, if any."""
-    path = getattr(args, "scenario_cache", None)
-    if not path:
-        return None
-    from repro.workloads.scenario_cache import ScenarioCache
-
-    return ScenarioCache(path)
-
-
 def _cmd_list_scenarios(_args: argparse.Namespace) -> int:
     rows = []
     for name, factory in SCENARIOS.items():
@@ -130,9 +117,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ),
         faults=faults,
     )
-    sim = scenario.make_simulation(
-        args.seed, [dophy], scenario_cache=_scenario_cache(args)
-    )
+    sim = scenario.make_simulation(args.seed, [dophy])
     result = sim.run()
     report = dophy.report()
     truth = result.ground_truth.true_loss_map(kind="empirical")
@@ -211,11 +196,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.replicates > 1:
         return _compare_replicated(args, scenario, names, approaches)
     rows_by_name, result = run_comparison(
-        scenario,
-        approaches,
-        seed=args.seed,
-        min_support=args.min_samples,
-        scenario_cache_dir=getattr(args, "scenario_cache", None),
+        scenario, approaches, seed=args.seed, min_support=args.min_samples
     )
     rows = []
     for name in names:
@@ -253,11 +234,7 @@ def _compare_replicated(
     from repro.exec import ParallelRunner
     from repro.workloads import run_replicated
 
-    runner = ParallelRunner(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        scenario_cache_dir=getattr(args, "scenario_cache", None),
-    )
+    runner = ParallelRunner(jobs=args.jobs, cache_dir=args.cache_dir)
     rows_by_name = run_replicated(
         scenario,
         approaches,
@@ -557,15 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=30,
             help="only report links with at least this many observations",
-        )
-        p.add_argument(
-            "--scenario-cache",
-            default=None,
-            metavar="DIR",
-            help="content-addressed built-scenario cache: reuse construction "
-            "skeletons (topology, channel, routing bootstrap) across seeds "
-            "and reruns; results are bit-identical with the cache cold, "
-            "warm, or absent",
         )
 
     run_p = sub.add_parser("run", help="run Dophy on a scenario")

@@ -86,21 +86,6 @@ class ComparisonTask:
 
 
 @dataclass(frozen=True)
-class _TaskPayload:
-    """What actually crosses the process boundary for one task.
-
-    Separate from :class:`ComparisonTask` on purpose: the result-cache
-    key digests the *task* alone, so runner-level execution settings
-    (like the scenario-cache directory, which cannot change results by
-    the bit-identity contract) ride alongside without invalidating every
-    cached result when they change.
-    """
-
-    task: ComparisonTask
-    scenario_cache_dir: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class RunSummary:
     """Small, picklable digest of a SimulationResult (the full result —
     packets, channel, routing state — never crosses the process boundary)."""
@@ -145,29 +130,16 @@ class ExecutionStats:
         return ", ".join(parts)
 
 
-def _execute_comparison_task(
-    payload: "ComparisonTask | _TaskPayload",
-) -> ComparisonTaskResult:
-    """Run one replicate — the *same* code path serial execution uses.
-
-    Accepts a bare :class:`ComparisonTask` (direct callers, older tests)
-    or a :class:`_TaskPayload` carrying runner-level settings.
-    """
+def _execute_comparison_task(task: ComparisonTask) -> ComparisonTaskResult:
+    """Run one replicate — the *same* code path serial execution uses."""
     from repro.workloads.runner import run_comparison
 
-    if isinstance(payload, _TaskPayload):
-        task = payload.task
-        scenario_cache_dir = payload.scenario_cache_dir
-    else:
-        task = payload
-        scenario_cache_dir = None
     rows, result = run_comparison(
         task.scenario,
         list(task.approaches),
         seed=task.seed,
         min_support=task.min_support,
         truth_kind=task.truth_kind,
-        scenario_cache_dir=scenario_cache_dir,
     )
     delivered = result.delivered_packets
     mean_hops = (
@@ -224,7 +196,6 @@ class ParallelRunner:
         jobs: int = 1,
         *,
         cache_dir: Optional[str] = None,
-        scenario_cache_dir: Optional[str] = None,
         task_timeout: Optional[float] = None,
         max_retries: int = 2,
         chunksize: int = 1,
@@ -244,10 +215,6 @@ class ParallelRunner:
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache_dir is not None else None
         )
-        #: Built-scenario cache directory handed to every comparison task
-        #: (see :mod:`repro.workloads.scenario_cache`). Result-neutral by
-        #: contract, so it is not part of the result-cache key.
-        self.scenario_cache_dir = scenario_cache_dir
         self.stats = ExecutionStats()
 
     # -- public API -------------------------------------------------------------
@@ -289,10 +256,7 @@ class ParallelRunner:
             missing.append(i)
         computed = self._dispatch(
             _execute_comparison_task,
-            [
-                (i, _TaskPayload(tasks[i], self.scenario_cache_dir))
-                for i in missing
-            ],
+            [(i, tasks[i]) for i in missing],
             stats,
         )
         for i, value in zip(missing, computed):

@@ -48,10 +48,10 @@ whole invocation into one project, so these see cross-module edges:
   swallow evidence without counting it: accounting (drop stats, retry
   budgets, WAL replay) must balance.
 * **RPL010** — cache write discipline in cache paths
-  (``exec/cache.py``, ``workloads/scenario_cache.py``): the ``fsync``
-  must dominate the ``os.replace``/``os.rename`` that publishes an
-  entry, and entries are immutable once published — no append or
-  read-modify-write ``open`` modes.
+  (``exec/cache.py``): the ``fsync`` must dominate the
+  ``os.replace``/``os.rename`` that publishes an entry, and entries are
+  immutable once published — no append or read-modify-write ``open``
+  modes.
 
 Every RPL006–009 fixture has a runtime twin: the sanitizer
 (:mod:`repro.sanitize`, ``REPRO_SANITIZE=1``) catches the same

@@ -320,11 +320,10 @@ class SwallowedEvidenceRule(Rule):
 class CacheWriteDisciplineRule(Rule):
     """RPL010 — cache-entry write discipline.
 
-    The content-addressed stores (``exec/cache.py``, ``workloads/
-    scenario_cache.py``) promise readers that every entry they can open
-    is complete and immutable: loads never lock, racing writers converge
-    on identical bytes, and a crash can only lose an entry, never corrupt
-    one. Two code shapes break that promise:
+    The content-addressed result store (``exec/cache.py``) promises
+    readers that every entry they can open is complete and immutable:
+    loads never lock, racing writers converge on identical bytes, and a
+    crash can only lose an entry, never corrupt one. Two code shapes break that promise:
 
     * publishing the entry (``os.replace``/``os.rename``) *before*
       fsyncing its bytes — a crash shortly after the rename can surface

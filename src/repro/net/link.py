@@ -84,19 +84,6 @@ class LinkModel(ABC):
     def true_loss(self, time: float) -> float:
         """Instantaneous loss probability at ``time`` (ground truth)."""
 
-    def fresh_copy(self) -> "LinkModel":
-        """An instance equivalent to this one at construction time.
-
-        The scenario cache stores built channels as *prototypes* (never
-        sampled) and hands each instantiation fresh copies so one run's
-        state can never leak into the next. The default — ``self`` — is
-        correct for immutable models (Bernoulli, Drifting); models with
-        per-instance mutable state must override it (Gilbert–Elliott
-        does). Models reading shared state are never cached at all
-        (``shared_state_loss`` channels bypass the cache).
-        """
-        return self
-
     def mean_loss(self, t0: float, t1: float, *, resolution: int = 64) -> float:
         """Average loss probability over [t0, t1] (numeric by default)."""
         if t1 < t0:
@@ -216,18 +203,6 @@ class GilbertElliottLink(LinkModel):
     def true_loss(self, time: float) -> float:
         pi_bad = self.stationary_bad_fraction
         return pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
-
-    def fresh_copy(self) -> "GilbertElliottLink":
-        """Identical-parameter copy carrying this instance's chain state.
-
-        Cached prototypes are never sampled, so their ``_in_bad`` still
-        holds the configured start state and the copy is exactly what
-        the constructor produced (parameters were validated there; a
-        plain field copy skips re-validation).
-        """
-        clone = GilbertElliottLink.__new__(GilbertElliottLink)
-        clone.__dict__.update(self.__dict__)
-        return clone
 
     def mean_loss(self, t0: float, t1: float, *, resolution: int = 64) -> float:
         return self.true_loss(t0)

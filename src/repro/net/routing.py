@@ -29,7 +29,7 @@ from repro.net.topology import Topology
 from repro.utils.rng import RngRegistry
 from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["RoutingConfig", "RoutingEngine", "ParentChange", "RoutingWarmState"]
+__all__ = ["RoutingConfig", "RoutingEngine", "ParentChange"]
 
 #: Cost assigned to unreachable nodes during relaxation.
 _INFINITY = float("inf")
@@ -64,26 +64,6 @@ class RoutingConfig:
 
 
 @dataclass(frozen=True)
-class RoutingWarmState:
-    """The routing engine's post-``__init__`` state, for cache replay.
-
-    Construction is deterministic given the channel's t=0 losses: the
-    warm-start ETX fill and the bootstrap tree consume no RNG (beacon
-    noise only flows in during :meth:`RoutingEngine.beacon_round`), so
-    restoring these three pieces into a fresh engine is bit-identical to
-    rebuilding — that is what lets the scenario cache skip the bootstrap
-    shortest-path solve entirely.
-    """
-
-    #: ETX per directed-edge slot (``topology.directed_edges()`` order).
-    etx: "np.ndarray"
-    #: node -> parent after the bootstrap recompute.
-    parent: Dict[int, Optional[int]]
-    #: node -> route cost after the bootstrap recompute.
-    cost: Dict[int, float]
-
-
-@dataclass(frozen=True)
 class ParentChange:
     """One parent-switch event (for churn accounting).
 
@@ -106,8 +86,6 @@ class RoutingEngine:
         channel: Channel,
         rng_registry: RngRegistry,
         config: Optional[RoutingConfig] = None,
-        *,
-        warm_state: Optional[RoutingWarmState] = None,
     ):
         self.topology = topology
         self.channel = channel
@@ -153,39 +131,25 @@ class RoutingEngine:
         ] = None
         # Warm start: seed estimates with the true ETX at t=0 (as a network
         # that has been running its estimator for a while would have).
-        if warm_state is not None:
-            # Cache replay: construction consumes no RNG, so restoring
-            # the captured arrays/maps is bit-identical to rebuilding
-            # (see RoutingWarmState). parent_change_log stays empty —
-            # bootstrap assignments are never logged as churn.
-            if len(warm_state.etx) != len(self._edges):
-                raise ValueError("warm state does not match topology edge count")
-            self._etx[:] = warm_state.etx
-            self._etx_samples[:] = 1
-            self._parent = dict(warm_state.parent)
-            self._cost = dict(warm_state.cost)
-        else:
-            # Vectorized fill: gather each directed edge's t=0 loss once
-            # (the scalar _true_etx loop queried both directions per
-            # edge, touching every model twice), then combine with the
-            # reverse-edge permutation. Per element this is the same
-            # IEEE-754 subtract/multiply/max/divide sequence as
-            # _true_etx, so the stored bits are unchanged.
-            losses = np.fromiter(
-                (channel.true_loss(u, v, 0.0) for u, v in self._edges),
-                dtype=np.float64,
-                count=len(self._edges),
-            )
-            reverse = np.fromiter(
-                (self._edge_index[(v, u)] for u, v in self._edges),
-                dtype=np.intp,
-                count=len(self._edges),
-            )
-            p_data = 1.0 - losses
-            success = np.maximum(1e-6, p_data * p_data[reverse])
-            self._etx[:] = 1.0 / success
-            self._etx_samples[:] = 1
-            self._recompute_tree(0.0)
+        # Each directed edge's t=0 loss is gathered once and paired with
+        # its reverse edge's through a permutation; per element this is
+        # the same IEEE-754 subtract/multiply/max/divide sequence as
+        # _true_etx, so the stored bits equal the scalar formula's.
+        losses = np.fromiter(
+            (channel.true_loss(u, v, 0.0) for u, v in self._edges),
+            dtype=np.float64,
+            count=len(self._edges),
+        )
+        reverse = np.fromiter(
+            (self._edge_index[(v, u)] for u, v in self._edges),
+            dtype=np.intp,
+            count=len(self._edges),
+        )
+        p_data = 1.0 - losses
+        success = np.maximum(1e-6, p_data * p_data[reverse])
+        self._etx[:] = 1.0 / success
+        self._etx_samples[:] = 1
+        self._recompute_tree(0.0)
 
     # -- link quality -----------------------------------------------------------
 
@@ -259,19 +223,6 @@ class RoutingEngine:
         else:
             etx[i] = self._data_decay * float(etx[i]) + self._data_alpha * attempts
         self._etx_samples[i] += 1
-
-    def capture_warm_state(self) -> RoutingWarmState:
-        """Snapshot the post-construction state for scenario-cache replay.
-
-        Only meaningful immediately after ``__init__`` (before any beacon
-        round or data traffic): that is the state the cache stores, and
-        the restore path asserts nothing beyond edge-count compatibility.
-        """
-        return RoutingWarmState(
-            etx=self._etx.copy(),
-            parent=dict(self._parent),
-            cost=dict(self._cost),
-        )
 
     # -- node liveness -------------------------------------------------------------
 

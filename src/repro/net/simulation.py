@@ -28,7 +28,7 @@ from repro.net.fastsim import FastArqMac, VectorizedEtxSampler, array_simulator
 from repro.net.link import Channel, LinkAssigner, uniform_loss_assigner
 from repro.net.mac import ArqMac, MacConfig, MacResult
 from repro.net.packet import Packet
-from repro.net.routing import RoutingConfig, RoutingEngine, RoutingWarmState
+from repro.net.routing import RoutingConfig, RoutingEngine
 from repro.net.sim import Simulator
 from repro.sanitize import hooks as _sanitize_hooks
 from repro.net.topology import Topology
@@ -41,12 +41,10 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "CollectionSimulation",
-    "DEFAULT_LINK_ASSIGNER",
 ]
 
 #: Fallback link regime when a simulation is given neither a channel nor
-#: an assigner. Module-level so the scenario cache's skeleton builder
-#: (workloads/scenario_cache.py) applies the identical default.
+#: an assigner.
 DEFAULT_LINK_ASSIGNER = uniform_loss_assigner(0.05, 0.3)
 
 
@@ -206,7 +204,6 @@ class CollectionSimulation:
         channel: Optional[Channel] = None,
         observers: Sequence[CollectionObserver] = (),
         failure_plan: Optional[FailurePlan] = None,
-        routing_warm_state: Optional[RoutingWarmState] = None,
     ):
         self.topology = topology
         self.config = config or SimulationConfig()
@@ -224,13 +221,7 @@ class CollectionSimulation:
             and self.config.forward_delay > 0
         )
         self.sim = array_simulator() if use_array else Simulator()
-        self.routing = RoutingEngine(
-            topology,
-            channel,
-            self.rng,
-            self.config.routing,
-            warm_state=routing_warm_state,
-        )
+        self.routing = RoutingEngine(topology, channel, self.rng, self.config.routing)
         self.mac: Union[ArqMac, FastArqMac] = ArqMac(channel, self.config.mac)
         if use_array:
             # Swap the batched hot paths in; all protocol logic below is

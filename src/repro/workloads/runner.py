@@ -251,24 +251,10 @@ def run_comparison(
     seed: int,
     min_support: int = 0,
     truth_kind: str = "empirical",
-    scenario_cache_dir: Optional[str] = None,
 ) -> Tuple[Dict[str, ComparisonRow], SimulationResult]:
-    """Run one seed of ``scenario`` with every approach attached.
-
-    ``scenario_cache_dir`` enables the built-scenario cache
-    (:mod:`repro.workloads.scenario_cache`): construction skeletons are
-    loaded/forked/stored there with output bit-identical to a fresh
-    build.
-    """
-    scenario_cache = None
-    if scenario_cache_dir is not None:
-        from repro.workloads.scenario_cache import ScenarioCache
-
-        scenario_cache = ScenarioCache(scenario_cache_dir)
+    """Run one seed of ``scenario`` with every approach attached."""
     observers = [(spec, spec.factory()) for spec in approaches]
-    sim = scenario.make_simulation(
-        seed, [obs for _, obs in observers], scenario_cache=scenario_cache
-    )
+    sim = scenario.make_simulation(seed, [obs for _, obs in observers])
     result = sim.run()
     truth = result.ground_truth.true_loss_map(kind=truth_kind)
     rows: Dict[str, ComparisonRow] = {}
@@ -323,7 +309,6 @@ def run_replicated(
     truth_kind: str = "empirical",
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    scenario_cache_dir: Optional[str] = None,
     runner: Optional["ParallelRunner"] = None,
 ) -> Dict[str, ReplicatedRow]:
     """Average :func:`run_comparison` over independent replicate seeds.
@@ -333,11 +318,8 @@ def run_replicated(
     alone — never by scheduling. ``jobs > 1`` shards the replicates over
     a process pool with byte-identical output to ``jobs=1``;
     ``cache_dir`` skips replicates already computed for this exact
-    configuration and code version, and ``scenario_cache_dir`` shares
-    built-scenario skeletons across replicates and reruns (cross-seed
-    forking makes every replicate after the first skip most of
-    construction). Pass an explicit ``runner`` to reuse a pool/cache
-    across calls and to read ``runner.stats`` afterwards.
+    configuration and code version. Pass an explicit ``runner`` to reuse
+    a pool/cache across calls and to read ``runner.stats`` afterwards.
     """
     from repro.exec.parallel import ComparisonTask, ParallelRunner
 
@@ -345,9 +327,7 @@ def run_replicated(
         raise ValueError("replicates must be >= 1")
     seeds = spawn_seeds(master_seed, replicates)
     if runner is None:
-        runner = ParallelRunner(
-            jobs=jobs, cache_dir=cache_dir, scenario_cache_dir=scenario_cache_dir
-        )
+        runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
     tasks = [
         ComparisonTask(
             scenario=scenario,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.net.failures import FailurePlan, random_failure_plan
 from repro.net.link import (
@@ -33,9 +33,6 @@ from repro.net.topology import (
     line_topology,
     random_geometric_topology,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.workloads.scenario_cache import BuiltScenario, ScenarioCache
 
 __all__ = [
     "Scenario",
@@ -67,26 +64,9 @@ class Scenario:
     link_assigner_factory: Optional[Callable[[Topology, int], LinkAssigner]] = None
 
     def make_simulation(
-        self,
-        seed: int,
-        observers: Sequence[CollectionObserver] = (),
-        *,
-        scenario_cache: Optional["ScenarioCache"] = None,
+        self, seed: int, observers: Sequence[CollectionObserver] = ()
     ) -> CollectionSimulation:
-        """Instantiate one run of this scenario.
-
-        With a ``scenario_cache``, the expensive construction skeleton
-        (topology, channel layout, link-model draws, routing bootstrap)
-        is served from the content-addressed cache — warm hit, cross-seed
-        fork, or cold build-and-store — and only the cheap per-run state
-        is instantiated fresh. Bit-identical to the cache-less path by
-        the contract in :mod:`repro.workloads.scenario_cache`; scenarios
-        the cache cannot serve (shared-state links, sanitized runs) fall
-        through to a fresh build automatically.
-        """
-        if scenario_cache is not None and scenario_cache.applicable(self):
-            built, _status = scenario_cache.get_or_build(self, seed)
-            return self._instantiate(built, seed, observers)
+        """Instantiate one run of this scenario."""
         topology = self.topology_factory(seed)
         plan = (
             self.failure_plan_factory(topology, seed)
@@ -105,45 +85,6 @@ class Scenario:
             link_assigner=assigner,
             observers=list(observers),
             failure_plan=plan,
-        )
-
-    def _instantiate(
-        self,
-        built: "BuiltScenario",
-        seed: int,
-        observers: Sequence[CollectionObserver],
-    ) -> CollectionSimulation:
-        """Cheap per-run instantiation of a cached skeleton.
-
-        Fresh RNG registry, fresh model copies (prototypes are never
-        sampled), fresh channel counters, routing restored from the
-        captured warm state. Registry streams are derived independently
-        per key, so building the channel on its own ``RngRegistry(seed)``
-        yields exactly the streams the fresh path's shared registry
-        would.
-        """
-        from repro.net.link import Channel
-        from repro.utils.rng import RngRegistry
-
-        registry = RngRegistry(seed)
-        if built.models_immutable:
-            # Stateless models: fresh_copy is the identity, and Channel
-            # copies the dict itself, so aliasing is safe and skips a
-            # quarter-million no-op calls at 5k nodes.
-            models = built.models
-        else:
-            models = {
-                edge: model.fresh_copy() for edge, model in built.models.items()
-            }
-        channel = Channel(built.topology, models, registry)
-        return CollectionSimulation(
-            built.topology,
-            seed=seed,
-            config=self.sim_config,
-            channel=channel,
-            observers=list(observers),
-            failure_plan=built.failure_plan,
-            routing_warm_state=built.routing_warm,
         )
 
     def with_config(self, **changes) -> "Scenario":
@@ -189,13 +130,6 @@ def _grid_topo(rows: int, cols: int, seed: int) -> Topology:
 
 def _rgg_topo(num_nodes: int, seed: int) -> Topology:
     return random_geometric_topology(num_nodes, seed=seed)
-
-
-# Line/grid recipes ignore their seed entirely, so a cross-seed scenario
-# fork (workloads/scenario_cache.py) may reuse the built Topology object
-# verbatim; RGG placement is seed-dependent and is rebuilt per seed.
-_line_topo.seed_invariant = True  # type: ignore[attr-defined]
-_grid_topo.seed_invariant = True  # type: ignore[attr-defined]
 
 
 def _random_failures_plan(

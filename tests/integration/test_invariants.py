@@ -23,7 +23,12 @@ from repro.tomography.mle_tree import TreeRatioTomography
 from repro.tomography.path_measurement import PathMeasurement
 
 
-def heavy_run(seed, *, duration=200.0, observers=(), max_retries=2, noise=0.6):
+DROP_REASONS = {"retries", "ttl", "no_route", "queue_overflow", "node_failed"}
+
+
+def heavy_run(
+    seed, *, duration=200.0, observers=(), max_retries=2, noise=0.6, engine="event"
+):
     topo = random_geometric_topology(35, seed=seed)
     sim = CollectionSimulation(
         topo,
@@ -33,6 +38,7 @@ def heavy_run(seed, *, duration=200.0, observers=(), max_retries=2, noise=0.6):
             traffic_period=3.0,
             mac=MacConfig(max_retries=max_retries),
             routing=RoutingConfig(etx_noise_std=noise, parent_switch_threshold=0.1),
+            engine=engine,
         ),
         link_assigner=uniform_loss_assigner(0.05, 0.4),
         observers=list(observers),
@@ -41,14 +47,18 @@ def heavy_run(seed, *, duration=200.0, observers=(), max_retries=2, noise=0.6):
 
 
 class TestConservationLaws:
-    def test_packet_accounting(self):
-        result = heavy_run(seed=1)
+    @pytest.mark.parametrize("engine", ["event", "array"])
+    def test_packet_accounting(self, engine):
+        result = heavy_run(seed=1, engine=engine)
         gt = result.ground_truth
         in_flight = sum(
             1 for p in result.packets if not p.delivered and not p.dropped
         )
         assert gt.packets_generated == gt.packets_delivered + gt.packets_dropped + in_flight
         assert in_flight <= 5  # grace period drains nearly everything
+        # Every drop is attributed to exactly one known cause.
+        assert sum(gt.drop_reasons.values()) == gt.packets_dropped
+        assert set(gt.drop_reasons) <= DROP_REASONS
 
     def test_hop_records_consistent_with_outcome(self):
         result = heavy_run(seed=2)

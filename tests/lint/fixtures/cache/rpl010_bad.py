@@ -2,8 +2,8 @@
 
 Each function is a realistic wrong way to maintain a content-addressed
 cache entry; the runnable twin (``tests/lint/test_rules.py`` +
-``tests/workloads/test_scenario_cache.py``'s corruption test) shows why
-the real stores do neither.
+``tests/exec/test_cache.py::test_corrupt_entry_is_a_miss_and_removed``)
+shows why the real store does neither.
 """
 
 import os

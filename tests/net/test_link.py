@@ -281,23 +281,6 @@ class TestBatchedBuildBitIdentity:
             assert rng1.random() == rng2.random()
 
 
-class TestFreshCopy:
-    def test_bernoulli_fresh_copy_is_self(self):
-        m = BernoulliLink(0.2)
-        assert m.fresh_copy() is m
-
-    def test_ge_fresh_copy_is_independent(self):
-        m = GilbertElliottLink(0.1, 0.3, loss_good=0.02, loss_bad=0.6)
-        c = m.fresh_copy()
-        assert c is not m
-        assert _model_params(c) == _model_params(m)
-        # Advancing the copy's chain must not touch the prototype.
-        rng = make_rng()
-        for _ in range(200):
-            c.sample(rng, 0.0)
-        assert m._in_bad is False
-
-
 class TestSharedStateEdges:
     def test_plain_channel_has_none(self):
         topo = line_topology(4)

@@ -91,10 +91,8 @@ def _overhead_to_json(ov):
     }
 
 
-def _trace(scenario, approaches, seed, scenario_cache_dir=None):
-    rows, result = run_comparison(
-        scenario, approaches, seed=seed, scenario_cache_dir=scenario_cache_dir
-    )
+def _trace(scenario, approaches, seed):
+    rows, result = run_comparison(scenario, approaches, seed=seed)
     return {
         "seed": seed,
         "summary": {
@@ -137,26 +135,3 @@ def test_golden_trace(request, name, scenario_fn, approaches_fn, seed, engine):
         f"{name}: run_comparison output drifted from the golden trace; "
         "if the change is intentional, rebless with --regen-golden"
     )
-
-
-@pytest.mark.parametrize("engine", ["event", "array"])
-def test_golden_trace_through_scenario_cache(request, tmp_path, engine):
-    """The same unregenerated fixtures, served via the built-scenario
-    cache — cold on the first pass, warm on the second. A cache or fork
-    that shifted a single float would surface as fixture drift here."""
-    if request.config.getoption("--regen-golden"):
-        pytest.skip("fixtures are blessed by test_golden_trace only")
-    for temperature in ("cold", "warm"):
-        for name, scenario_fn, approaches_fn, seed in CASES:
-            scenario = scenario_fn().with_config(engine=engine)
-            trace = _trace(
-                scenario,
-                approaches_fn(),
-                seed,
-                scenario_cache_dir=str(tmp_path),
-            )
-            frozen = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-            assert trace == frozen, (
-                f"{name} ({engine}, cache {temperature}): cache-served "
-                "run drifted from the golden trace"
-            )
