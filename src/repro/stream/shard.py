@@ -111,10 +111,17 @@ class ShardWorker:
     # -- the write-ahead contract -----------------------------------------------------
 
     def log(self, records: Sequence[PacketRecord]) -> None:
-        """Spool records durably *before* any apply step may see them."""
-        for record in records:
-            self.seq_logged += 1
-            self.wal.append(self.seq_logged, record)
+        """Spool records durably *before* any apply step may see them.
+
+        One group commit: the batch goes to the spool in one write and
+        one fsync, and ``seq_logged`` advances only after both succeed.
+        """
+        seq = self.seq_logged
+        with self.wal.group():
+            for record in records:
+                seq += 1
+                self.wal.append(seq, record)
+        self.seq_logged = seq
         self.stats.logged += len(records)
 
     def payload(self, records: Sequence[PacketRecord]) -> ApplyPayload:
@@ -148,19 +155,20 @@ class ShardWorker:
         self.estimator = None
 
     def peek_durable(self) -> Tuple[PerLinkEstimator, int, float]:
-        """(estimator, seq, max record time) rebuilt from durable state only.
+        """(estimator, durable seq, max record time) from durable state only.
 
         Checkpoint (if any) plus full spool replay — exactly what
         :meth:`restore` installs, but without touching worker state, so
         the sink can fold a *down* shard's last durable view into global
-        snapshots while its backoff elapses.
+        snapshots while its backoff elapses. The durable seq is the last
+        replayed spool entry's, or the checkpoint's when none replays.
         """
         try:
             ckpt = load_checkpoint(self.store, self.checkpoint_name)
         except CheckpointError as exc:
             if exc.cause != "missing":
                 raise
-            est, seq = self._fresh(), 0
+            est, ckpt_seq = self._fresh(), 0
         else:
             if ckpt.get("shard") != self.index:
                 raise CheckpointError(
@@ -170,19 +178,21 @@ class ShardWorker:
                 )
             try:
                 est = PerLinkEstimator.from_state(ckpt["estimator"])
-                seq = int(ckpt["seq"])
+                ckpt_seq = int(ckpt["seq"])
             except (KeyError, TypeError, ValueError) as exc2:
                 raise CheckpointError(
                     "malformed", f"invalid estimator state: {exc2}"
                 ) from exc2
+        durable_seq = ckpt_seq
         max_time = 0.0
         replayed: List[PacketRecord] = []
-        for seq, record in self.wal.replay(seq):
+        for seq, record in self.wal.replay(ckpt_seq):
             replayed.append(record)
+            durable_seq = seq
             max_time = max(max_time, record.created_at)
         feed_estimator(est, replayed)
         self.stats.replayed += len(replayed)
-        return est, seq, max_time
+        return est, durable_seq, max_time
 
     def restore(self) -> float:
         """Rebuild the live estimator from checkpoint + spool replay.
@@ -191,10 +201,10 @@ class ShardWorker:
         can keep its stream clock honest. Idempotent: restoring twice is
         the same as restoring once.
         """
-        est, seq, max_time = self.peek_durable()
+        est, durable_seq, max_time = self.peek_durable()
         self.estimator = est
-        self.seq_applied = max(seq, self.wal.max_seq())
-        self.seq_logged = max(self.seq_logged, self.seq_applied)
+        self.seq_applied = durable_seq
+        self.seq_logged = max(self.seq_logged, durable_seq)
         self.stats.restores += 1
         return max_time
 

@@ -13,13 +13,16 @@ state directory).
   temp file, is flushed and ``fsync``-ed, then ``os.replace``-d over the
   target, and the directory entry itself is fsynced; a reader (or a
   restart) can never observe a half-written checkpoint;
-* **durable appends** — WAL lines are flushed and fsynced per append,
-  so an acked record survives the process dying on the next
+* **durable appends** — :meth:`~BlobStore.append_lines` writes a whole
+  batch of WAL lines with one write and one ``fsync``; the WAL commits
+  each shard's round this way (group commit), so a record is acked only
+  once its batch is on disk and survives the process dying on the next
   instruction (``fsync=False`` trades that durability for speed in
   tests and benches).
 
 Torn *tails* (the one failure atomic replace cannot prevent: a crash
-mid-append) are the WAL layer's job to detect and drop — see
+mid-append, which leaves the batch's complete lines plus at most one
+partial final line) are the WAL layer's job to detect and drop — see
 :mod:`repro.stream.wal`.
 """
 
@@ -42,6 +45,11 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _joined(lines: Sequence[str]) -> bytes:
+    """``lines`` as UTF-8, each terminated by a newline."""
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
 class BlobStore:
     """Named-blob interface shared by checkpoint and WAL persistence."""
 
@@ -60,14 +68,20 @@ class BlobStore:
         """Append one newline-terminated line (creating the blob)."""
         raise NotImplementedError
 
+    def append_lines(self, name: str, lines: Sequence[str]) -> None:
+        """Append newline-terminated lines in one durable write.
+
+        Creates the blob on first use; an empty batch touches nothing.
+        """
+        raise NotImplementedError
+
     def read_lines(self, name: str) -> List[str]:
         """All lines of a line-oriented blob ([] when absent)."""
         raise NotImplementedError
 
     def replace_lines(self, name: str, lines: Sequence[str]) -> None:
         """Atomically replace a line-oriented blob's contents."""
-        joined = "".join(f"{line}\n" for line in lines)
-        self.write_atomic(name, joined.encode("utf-8"))
+        self.write_atomic(name, _joined(lines))
 
     def delete(self, name: str) -> None:
         """Remove a blob if present (idempotent)."""
@@ -97,9 +111,14 @@ class MemoryStore(BlobStore):
         self._blobs[_check_name(name)] = bytes(data)
 
     def append_line(self, name: str, line: str) -> None:
+        self.append_lines(name, (line,))
+
+    def append_lines(self, name: str, lines: Sequence[str]) -> None:
         _check_name(name)
+        if not lines:
+            return
         existing = self._blobs.get(name, b"")
-        self._blobs[name] = existing + f"{line}\n".encode("utf-8")
+        self._blobs[name] = existing + _joined(lines)
 
     def read_lines(self, name: str) -> List[str]:
         if not self.exists(name):
@@ -158,8 +177,14 @@ class DirectoryStore(BlobStore):
             raise
 
     def append_line(self, name: str, line: str) -> None:
-        with self._path(name).open("a", encoding="utf-8") as fh:
-            fh.write(f"{line}\n")
+        self.append_lines(name, (line,))
+
+    def append_lines(self, name: str, lines: Sequence[str]) -> None:
+        path = self._path(name)
+        if not lines:
+            return
+        with path.open("ab") as fh:
+            fh.write(_joined(lines))
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())

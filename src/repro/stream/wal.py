@@ -9,14 +9,24 @@ pins).
 
 Each line is self-checking JSON::
 
-    {"seq": <1-based shard-local sequence>, "crc": <crc32 of the record
-     JSON>, "rec": {...packet record...}}
+    {"crc": <crc32 of the record JSON>, "rec": {...packet record...},
+     "seq": <1-based shard-local sequence>}
+
+**Group commit.** Inside :meth:`WriteAheadLog.group`, :meth:`append`
+only encodes and buffers its line; when the block exits, the buffered
+lines go to the spool in one write and one ``fsync``, and only then are
+the appends reported (to the sanitizer) — so the shard acks a round's
+records only once all of them are durable, and a group that fails
+writes, or acks, nothing. :meth:`ShardWorker.log
+<repro.stream.shard.ShardWorker.log>` commits one group per shard per
+dispatch round.
 
 Failure handling distinguishes the two ways a spool goes bad:
 
 * a **torn tail** — the final line is unparseable or fails its CRC,
-  i.e. the process died mid-append. The tail record was never applied
-  nor acked, so replay drops it (counted in ``torn_tail_dropped``) and
+  i.e. the process died mid-write, leaving its group's complete lines
+  plus at most one partial one. The tail record was never applied nor
+  acked, so replay drops it (counted in ``torn_tail_dropped``) and
   continues normally;
 * **mid-file corruption** — a bad line *with valid lines after it* means
   storage damage, not a torn append; replay refuses to guess and raises
@@ -31,7 +41,8 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Iterator, List, Tuple
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.sanitize import hooks as _sanitize_hooks
 from repro.stream.records import PacketRecord, record_from_dict, record_to_dict
@@ -45,13 +56,12 @@ class WalError(RuntimeError):
 
 
 def _encode_line(seq: int, record: PacketRecord) -> str:
+    # The record JSON is already canonical (sorted keys, compact), so the
+    # line is built around it with the envelope's keys in sorted order:
+    # byte-identical to dumping the whole envelope with sort_keys=True.
     rec = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
     crc = zlib.crc32(rec.encode("utf-8")) & 0xFFFFFFFF
-    return json.dumps(
-        {"seq": seq, "crc": crc, "rec": json.loads(rec)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return f'{{"crc":{crc},"rec":{rec},"seq":{seq}}}'
 
 
 def _decode_line(line: str) -> Tuple[int, PacketRecord]:
@@ -77,25 +87,60 @@ class WriteAheadLog:
         self.name = name
         #: Torn-tail records dropped across all replays (diagnostics).
         self.torn_tail_dropped = 0
+        #: ``(seq, line)`` buffered by the open :meth:`group`, else None.
+        self._group: Optional[List[Tuple[int, str]]] = None
 
     def append(self, seq: int, record: PacketRecord) -> None:
-        """Durably log ``record`` as shard-local sequence ``seq``."""
-        self.store.append_line(self.name, _encode_line(seq, record))
+        """Durably log ``record`` as shard-local sequence ``seq``.
+
+        Inside :meth:`group` the line is only buffered: it is durable
+        once the group exits.
+        """
+        line = _encode_line(seq, record)
+        if self._group is not None:
+            self._group.append((seq, line))
+            return
+        self.store.append_line(self.name, line)
+        self._appended((seq,))
+
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """Commit every :meth:`append` in the block with one write + fsync.
+
+        The appends are reported only after the write returns, so an
+        apply issued inside the block is flagged by the sanitizer's
+        effect protocol. If the block raises, nothing is written.
+        """
+        pending: List[Tuple[int, str]] = []
+        self._group = pending
+        try:
+            yield
+        finally:
+            self._group = None
+        if pending:
+            self.store.append_lines(self.name, [line for _, line in pending])
+            self._appended([seq for seq, _ in pending])
+
+    def _appended(self, seqs: Sequence[int]) -> None:
         sanitizer = _sanitize_hooks.ACTIVE
         if sanitizer is not None:
-            sanitizer.record_effect("wal-append", self.name, seq)
+            for seq in seqs:
+                sanitizer.record_effect("wal-append", self.name, seq)
 
-    def _parse_all(self) -> List[Tuple[int, PacketRecord]]:
+    def _parse_all(self) -> Tuple[List[Tuple[int, PacketRecord]], bool]:
+        """Every intact entry, and whether a torn final line was dropped."""
         lines = self.store.read_lines(self.name)
         out: List[Tuple[int, PacketRecord]] = []
+        torn = False
         for i, line in enumerate(lines):
             try:
                 out.append(_decode_line(line))
             except (ValueError, KeyError, TypeError) as exc:
                 if i == len(lines) - 1:
-                    # Torn tail: the append died mid-line. The record was
+                    # Torn tail: the write died mid-line. The record was
                     # never applied or acked, so dropping it is lossless.
                     self.torn_tail_dropped += 1
+                    torn = True
                     break
                 raise WalError(
                     f"{self.name}: line {i + 1} is corrupt with "
@@ -109,26 +154,19 @@ class WriteAheadLog:
                     f"{self.name}: non-increasing sequence {seq} after {prev}"
                 )
             prev = seq
-        return out
+        return out, torn
 
     def replay(self, after_seq: int) -> Iterator[Tuple[int, PacketRecord]]:
         """Yield ``(seq, record)`` for every entry with ``seq > after_seq``."""
-        for seq, record in self._parse_all():
+        entries, _torn = self._parse_all()
+        for seq, record in entries:
             if seq > after_seq:
                 yield seq, record
 
-    def max_seq(self) -> int:
-        """Highest sequence in the spool (0 when empty)."""
-        entries = self._parse_all()
-        return entries[-1][0] if entries else 0
-
     def truncate_through(self, seq: int) -> int:
         """Atomically drop entries with sequence <= ``seq``; returns kept count."""
-        kept = [
-            _encode_line(s, record)
-            for s, record in self._parse_all()
-            if s > seq
-        ]
+        entries, _torn = self._parse_all()
+        kept = [_encode_line(s, record) for s, record in entries if s > seq]
         if kept:
             self.store.replace_lines(self.name, kept)
         else:
@@ -141,12 +179,14 @@ class WriteAheadLog:
         Used on process resume: appends made *after* the last sink
         manifest are covered by re-consuming the source, so replaying
         them as well would double-count their evidence. The manifest's
-        per-shard watermark is the cut.
+        per-shard watermark is the cut. A torn tail is cut too, even when
+        no entry is: the resumed run appends after it, and a partial line
+        followed by valid ones reads as mid-file corruption.
         """
-        entries = self._parse_all()
+        entries, torn = self._parse_all()
         kept = [_encode_line(s, record) for s, record in entries if s <= seq]
         dropped = len(entries) - len(kept)
-        if dropped:
+        if dropped or torn:
             if kept:
                 self.store.replace_lines(self.name, kept)
             else:
@@ -154,4 +194,4 @@ class WriteAheadLog:
         return dropped
 
     def __len__(self) -> int:
-        return len(self._parse_all())
+        return len(self._parse_all()[0])

@@ -22,7 +22,7 @@ from repro.sanitize import (
     verify_effect_protocol,
 )
 from repro.stream.records import PacketRecord
-from repro.stream.shard import ShardWorker
+from repro.stream.shard import ShardWorker, shard_apply_task
 from repro.stream.storage import DirectoryStore
 from repro.utils.rng import derive_rng
 
@@ -134,6 +134,23 @@ def test_rpl008_ok_order_verifies_clean(tmp_path):
         mod.good_round(worker, _records(5))
         mod.good_snapshot(worker, store, round_no=1)
     assert verify_effect_protocol(san.fingerprint()) == []
+
+
+def test_apply_inside_an_open_wal_group_breaks_effect_protocol(tmp_path):
+    """RPL008 treats ``ShardWorker.log`` and ``WriteAheadLog.append`` as
+    the durable append, so it cannot see an apply placed inside an open
+    group. The group reports its appends only after its write and fsync,
+    so the sanitizer sees the apply run ahead of them."""
+    records = _records(4)
+    with sanitize_run("apply-in-group") as san:
+        worker = ShardWorker(0, 3, DirectoryStore(tmp_path / "s", fsync=False))
+        with worker.wal.group():
+            for seq, record in enumerate(records, start=1):
+                worker.wal.append(seq, record)
+            worker.absorb(shard_apply_task(worker.payload(records)), len(records))
+    problems = verify_effect_protocol(san.fingerprint())
+    assert len(problems) == 1
+    assert "apply precedes the append" in problems[0]
 
 
 # ------------------------------------------------------------------ RPL009

@@ -5,7 +5,14 @@ the cause — never as unpickled garbage, a half-applied restore, or a
 silently skipped record.
 """
 
+import json
+import math
+import os
+import zlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimator import PerLinkEstimator
 from repro.core.windowed import SlidingLinkEstimator
@@ -14,13 +21,17 @@ from repro.stream import (
     DirectoryStore,
     MemoryStore,
     PacketRecord,
+    ShardWorker,
     WalError,
     WriteAheadLog,
     decode_checkpoint,
     encode_checkpoint,
+    feed_estimator,
     load_checkpoint,
+    record_to_dict,
     save_checkpoint,
 )
+from repro.stream.wal import _encode_line
 
 
 def rec(seqno, created_at=1.0):
@@ -121,7 +132,6 @@ class TestWriteAheadLog:
             wal.append(i, rec(i))
         assert [seq for seq, _ in wal.replay(0)] == [1, 2, 3, 4, 5]
         assert [seq for seq, _ in wal.replay(3)] == [4, 5]
-        assert wal.max_seq() == 5
 
     def test_torn_tail_is_dropped_and_counted(self):
         store = MemoryStore()
@@ -182,6 +192,135 @@ class TestWriteAheadLog:
         assert [seq for seq, _ in wal.replay(0)] == [1, 2, 3]
         assert wal.drop_after(0) == 3
         assert not store.exists("s.wal")
+
+
+def reference_line(seq, record):
+    """A spool line in its first form: the envelope dumped, loaded, dumped."""
+    rec = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+    crc = zlib.crc32(rec.encode("utf-8")) & 0xFFFFFFFF
+    return json.dumps(
+        {"seq": seq, "crc": crc, "rec": json.loads(rec)},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+any_record = st.builds(
+    PacketRecord,
+    origin=st.integers(min_value=-(2**63), max_value=2**64),
+    seqno=st.integers(min_value=0, max_value=2**64),
+    created_at=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    delivered=st.booleans(),
+    hops=st.lists(
+        st.tuples(st.integers(), st.integers(), st.integers(), st.booleans()),
+        max_size=16,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.integers(min_value=1, max_value=2**64), record=any_record)
+@example(seq=1, record=rec(1, 0.0))
+@example(seq=1, record=rec(1, -0.0))
+@example(seq=1, record=rec(1, 5e-324))
+@example(seq=1, record=rec(1, -2.225073858507201e-308))
+@example(seq=1, record=rec(1, 1.7976931348623157e308))
+@example(seq=1, record=rec(1, -1e300))
+@example(seq=1, record=rec(1, math.inf))
+@example(seq=1, record=rec(1, -math.inf))
+@example(seq=1, record=rec(1, math.nan))
+def test_wal_line_is_byte_identical_to_the_reference_encoding(seq, record):
+    # Spools written before lines were built around the record JSON must
+    # still replay, and new spools must read the same to older code.
+    assert _encode_line(seq, record) == reference_line(seq, record)
+
+
+def fsync_counter(monkeypatch):
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+class TestGroupCommit:
+    """``ShardWorker.log`` commits a batch with one write and one fsync."""
+
+    def test_one_fsync_per_logged_batch(self, tmp_path, monkeypatch):
+        worker = ShardWorker(0, 3, DirectoryStore(tmp_path))
+        calls = fsync_counter(monkeypatch)
+        worker.log([rec(i) for i in range(1, 6)])
+        assert len(calls) == 1
+        assert worker.seq_logged == 5
+        assert [seq for seq, _ in worker.wal.replay(0)] == [1, 2, 3, 4, 5]
+
+    def test_empty_batch_touches_nothing(self, tmp_path, monkeypatch):
+        store = DirectoryStore(tmp_path)
+        worker = ShardWorker(0, 3, store)
+        calls = fsync_counter(monkeypatch)
+        worker.log([])
+        assert calls == []
+        assert store.names() == []
+        assert worker.seq_logged == 0
+
+    def test_failed_group_writes_and_acks_nothing(self, tmp_path):
+        store = DirectoryStore(tmp_path)
+        worker = ShardWorker(0, 3, store)
+        worker.log([rec(1), rec(2)])
+        spool = store.read(worker.wal.name)
+        unencodable = rec(4, created_at=object())
+        with pytest.raises(TypeError):
+            worker.log([rec(3), unencodable])
+        assert store.read(worker.wal.name) == spool
+        assert worker.seq_logged == 2
+        assert worker.stats.logged == 2
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_crash_inside_a_group_replays_its_complete_lines(self, tmp_path, k):
+        store = DirectoryStore(tmp_path)
+        group = [rec(i, created_at=float(i)) for i in range(1, 7)]
+        ShardWorker(0, 3, store).log(group)
+        # The process dies mid-write: k complete lines, then part of line k+1.
+        path = tmp_path / "shard-000.wal"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:k]) + lines[k][: len(lines[k]) // 2])
+
+        worker = ShardWorker(0, 3, store)
+        max_time = worker.restore()
+        assert worker.stats.replayed == k
+        assert worker.seq_applied == worker.seq_logged == k
+        assert worker.wal.torn_tail_dropped == 1
+        assert max_time == (group[k - 1].created_at if k else 0.0)
+        expected = PerLinkEstimator(3)
+        feed_estimator(expected, group[:k])
+        assert worker.estimator.state_dict() == expected.state_dict()
+
+    def test_restore_counts_a_torn_tail_once(self):
+        store = MemoryStore()
+        ShardWorker(0, 3, store).log([rec(i) for i in range(1, 4)])
+        name = "shard-000.wal"
+        store.write_atomic(name, store.read(name) + b'{"crc":12,"rec":{"hops')
+        worker = ShardWorker(0, 3, store)
+        before = worker.wal.torn_tail_dropped
+        worker.restore()
+        assert worker.wal.torn_tail_dropped == before + 1
+        assert worker.seq_applied == 3
+
+    def test_drop_after_cuts_a_torn_tail_with_nothing_past_the_cut(self):
+        store = MemoryStore()
+        wal = WriteAheadLog(store, "s.wal")
+        for i in range(1, 4):
+            wal.append(i, rec(i))
+        store.write_atomic("s.wal", store.read("s.wal") + b'{"crc":1')
+        assert wal.drop_after(3) == 0
+        # The resumed run's next append must not be glued onto the
+        # partial line.
+        wal.append(4, rec(4))
+        assert [seq for seq, _ in wal.replay(0)] == [1, 2, 3, 4]
 
 
 class TestStateRoundTrips:

@@ -7,34 +7,51 @@ run, and a shard that exhausts its retry budget must surface as per-link
 staleness flags — never as silently wrong numbers.
 """
 
+import itertools
+
 import pytest
 
 from repro.net.faults import ShardFaultPlan
 from repro.stream import (
+    DirectoryStore,
     MemoryStore,
     RetryPolicy,
     SinkConfig,
     StreamingSink,
 )
+from repro.stream.sink import MANIFEST
 from repro.stream.supervisor import DOWN, HEALTHY, QUARANTINED, ShardSupervisor
 from tests.stream.conftest import estimate_fields
 
 CFG = SinkConfig(n_shards=3, merge_every=4, alerts=None)
 
 
-def run_sink(bundle, config=CFG, faults=None, store=None):
-    sink = StreamingSink(
-        bundle.max_attempts, store or MemoryStore(), config, faults=faults
-    )
+@pytest.fixture
+def new_store():
+    """Fresh-store factory; the ``OnDisk`` twins below override it."""
+    return MemoryStore
+
+
+class OnDisk:
+    """Mixin: rerun the inherited tests with fsynced ``DirectoryStore``s."""
+
+    @pytest.fixture
+    def new_store(self, tmp_path):
+        dirs = (tmp_path / f"state-{i}" for i in itertools.count())
+        return lambda: DirectoryStore(next(dirs))
+
+
+def run_sink(bundle, store, config=CFG, faults=None):
+    sink = StreamingSink(bundle.max_attempts, store, config, faults=faults)
     snapshots = list(sink.run(bundle.records))
     return sink, snapshots
 
 
 class TestKillRestore:
-    def test_crash_mid_window_restores_identical_estimates(self, bundle):
-        _, clean = run_sink(bundle)
+    def test_crash_mid_window_restores_identical_estimates(self, bundle, new_store):
+        _, clean = run_sink(bundle, new_store())
         faults = ShardFaultPlan(seed=3, crash_at=((3, 1), (5, 0)))
-        sink, snaps = run_sink(bundle, faults=faults)
+        sink, snaps = run_sink(bundle, new_store(), faults=faults)
         assert sink.stats.crashes == 2
         assert sink.stats.restores == 2
         assert estimate_fields(snaps[-1].estimates) == estimate_fields(
@@ -42,35 +59,35 @@ class TestKillRestore:
         )
         assert not snaps[-1].stale_links
 
-    def test_stall_is_recovered_like_a_crash(self, bundle):
-        _, clean = run_sink(bundle)
+    def test_stall_is_recovered_like_a_crash(self, bundle, new_store):
+        _, clean = run_sink(bundle, new_store())
         faults = ShardFaultPlan(seed=3, stall_at=((2, 2),), stall_rounds=3)
-        sink, snaps = run_sink(bundle, faults=faults)
+        sink, snaps = run_sink(bundle, new_store(), faults=faults)
         assert sink.stats.stalls == 1
         assert sink.stats.restores == 1
         assert estimate_fields(snaps[-1].estimates) == estimate_fields(
             clean[-1].estimates
         )
 
-    def test_random_crash_storm_still_converges(self, bundle):
-        _, clean = run_sink(bundle)
+    def test_random_crash_storm_still_converges(self, bundle, new_store):
+        _, clean = run_sink(bundle, new_store())
         faults = ShardFaultPlan(seed=5, crash_rate=0.1)
-        sink, snaps = run_sink(bundle, faults=faults)
+        sink, snaps = run_sink(bundle, new_store(), faults=faults)
         assert sink.stats.crashes > 0
         assert not sink.supervisor.quarantined_shards()
         assert estimate_fields(snaps[-1].estimates) == estimate_fields(
             clean[-1].estimates
         )
 
-    def test_no_fault_run_reports_no_supervision_activity(self, bundle):
-        sink, snaps = run_sink(bundle)
+    def test_no_fault_run_reports_no_supervision_activity(self, bundle, new_store):
+        sink, snaps = run_sink(bundle, new_store())
         assert sink.stats.crashes == 0
         assert sink.stats.restores == 0
         assert snaps[-1].shard_states == (HEALTHY,) * 3
 
 
 class TestQuarantine:
-    def quarantined_run(self, bundle):
+    def quarantined_run(self, bundle, store):
         config = SinkConfig(
             n_shards=3,
             merge_every=4,
@@ -80,30 +97,30 @@ class TestQuarantine:
         faults = ShardFaultPlan(
             seed=3, crash_at=tuple((r, 1) for r in range(1, 60))
         )
-        return run_sink(bundle, config=config, faults=faults)
+        return run_sink(bundle, store, config=config, faults=faults)
 
-    def test_budget_exhaustion_quarantines_and_flags_links(self, bundle):
-        sink, snaps = self.quarantined_run(bundle)
+    def test_budget_exhaustion_quarantines_and_flags_links(self, bundle, new_store):
+        sink, snaps = self.quarantined_run(bundle, new_store())
         assert sink.supervisor.quarantined_shards() == [1]
         final = snaps[-1]
         assert final.shard_states[1] == QUARANTINED
         assert final.stale_links  # degradation is visible, not silent
         assert sink.stats.dropped_quarantined > 0
 
-    def test_quarantined_shard_still_contributes_durable_state(self, bundle):
-        sink, snaps = self.quarantined_run(bundle)
+    def test_quarantined_shard_still_contributes_durable_state(self, bundle, new_store):
+        sink, snaps = self.quarantined_run(bundle, new_store())
         # The frozen contribution keeps every link that had durable
         # evidence before the quarantine; a link whose only evidence was
         # dropped afterwards may be absent — but then it MUST be flagged.
-        _, clean = run_sink(bundle)
+        _, clean = run_sink(bundle, new_store())
         final = snaps[-1]
         assert set(final.estimates) <= set(clean[-1].estimates)
         missing = set(clean[-1].estimates) - set(final.estimates)
         assert missing <= set(final.stale_links)
 
-    def test_healthy_links_unaffected_by_dead_shard(self, bundle):
-        sink, snaps = self.quarantined_run(bundle)
-        _, clean = run_sink(bundle)
+    def test_healthy_links_unaffected_by_dead_shard(self, bundle, new_store):
+        sink, snaps = self.quarantined_run(bundle, new_store())
+        _, clean = run_sink(bundle, new_store())
         stale = set(snaps[-1].stale_links)
         degraded = estimate_fields(snaps[-1].estimates)
         reference = estimate_fields(clean[-1].estimates)
@@ -113,9 +130,9 @@ class TestQuarantine:
 
 
 class TestProcessResume:
-    def test_resume_from_manifest_converges_identically(self, bundle):
-        _, clean = run_sink(bundle)
-        store = MemoryStore()
+    def test_resume_from_manifest_converges_identically(self, bundle, new_store):
+        _, clean = run_sink(bundle, new_store())
+        store = new_store()
         first = StreamingSink(bundle.max_attempts, store, CFG)
         gen = first.run(bundle.records)
         next(gen)  # one snapshot, then the process "dies"
@@ -126,10 +143,10 @@ class TestProcessResume:
             clean[-1].estimates
         )
 
-    def test_resume_with_faults_sees_the_same_schedule(self, bundle):
+    def test_resume_with_faults_sees_the_same_schedule(self, bundle, new_store):
         faults = ShardFaultPlan(seed=3, crash_rate=0.08)
-        _, uninterrupted = run_sink(bundle, faults=faults)
-        store = MemoryStore()
+        _, uninterrupted = run_sink(bundle, new_store(), faults=faults)
+        store = new_store()
         first = StreamingSink(bundle.max_attempts, store, CFG, faults=faults)
         gen = first.run(bundle.records)
         next(gen)
@@ -139,8 +156,8 @@ class TestProcessResume:
             uninterrupted[-1].estimates
         )
 
-    def test_resume_requires_the_original_stream(self, bundle):
-        store = MemoryStore()
+    def test_resume_requires_the_original_stream(self, bundle, new_store):
+        store = new_store()
         first = StreamingSink(bundle.max_attempts, store, CFG)
         gen = first.run(bundle.records)
         next(gen)
@@ -148,9 +165,9 @@ class TestProcessResume:
         with pytest.raises(ValueError, match="consumed offset"):
             list(resumed.run(bundle.records[:1]))
 
-    def test_repeated_restore_is_idempotent(self, bundle):
+    def test_repeated_restore_is_idempotent(self, bundle, new_store):
         faults = ShardFaultPlan(seed=3, crash_at=((3, 1),))
-        sink, _ = run_sink(bundle, faults=faults)
+        sink, _ = run_sink(bundle, new_store(), faults=faults)
         shard = sink.shards[1]
         before = shard.estimator.state_dict()
         shard.restore()
@@ -175,14 +192,17 @@ class TestEffectProtocol:
         assert fingerprint.effects, "sink run must record durability effects"
         return verify_effect_protocol(fingerprint)
 
-    def test_clean_run_protocol_holds(self, bundle):
-        assert self._protocol(lambda: run_sink(bundle)) == []
+    def test_clean_run_protocol_holds(self, bundle, new_store):
+        assert self._protocol(lambda: run_sink(bundle, new_store())) == []
 
-    def test_crash_restore_protocol_holds(self, bundle):
+    def test_crash_restore_protocol_holds(self, bundle, new_store):
         faults = ShardFaultPlan(seed=3, crash_at=((3, 1), (5, 0)))
-        assert self._protocol(lambda: run_sink(bundle, faults=faults)) == []
+        assert (
+            self._protocol(lambda: run_sink(bundle, new_store(), faults=faults))
+            == []
+        )
 
-    def test_quarantine_protocol_holds(self, bundle):
+    def test_quarantine_protocol_holds(self, bundle, new_store):
         config = SinkConfig(
             n_shards=3,
             merge_every=4,
@@ -194,14 +214,14 @@ class TestEffectProtocol:
         )
         assert (
             self._protocol(
-                lambda: run_sink(bundle, config=config, faults=faults)
+                lambda: run_sink(bundle, new_store(), config=config, faults=faults)
             )
             == []
         )
 
-    def test_process_resume_protocol_holds(self, bundle):
+    def test_process_resume_protocol_holds(self, bundle, new_store):
         def resumed_run():
-            store = MemoryStore()
+            store = new_store()
             first = StreamingSink(bundle.max_attempts, store, CFG)
             gen = first.run(bundle.records)
             next(gen)  # one snapshot, then the process "dies"
@@ -209,6 +229,63 @@ class TestEffectProtocol:
             list(resumed.run(bundle.records))
 
         assert self._protocol(resumed_run) == []
+
+
+class TestKillRestoreOnDisk(OnDisk, TestKillRestore):
+    pass
+
+
+class TestQuarantineOnDisk(OnDisk, TestQuarantine):
+    pass
+
+
+class TestProcessResumeOnDisk(OnDisk, TestProcessResume):
+    pass
+
+
+class TestEffectProtocolOnDisk(OnDisk, TestEffectProtocol):
+    pass
+
+
+class _Killed(BaseException):
+    """The process dies: nothing in the sink may catch this."""
+
+
+class TestCrashInsideGroup:
+    """The process dies part-way through writing a shard's group commit,
+    leaving that group's first ``k`` lines and part of line ``k + 1``."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_resume_matches_the_uninterrupted_run(
+        self, bundle, tmp_path, monkeypatch, k
+    ):
+        _, clean = run_sink(bundle, MemoryStore())
+        real_append = DirectoryStore.append_lines
+        torn = []
+
+        def dying_append(store, name, lines):
+            if len(lines) > k and store.exists(MANIFEST) and not torn:
+                torn.append(name)
+                partial = "".join(f"{line}\n" for line in lines[:k])
+                partial += lines[k][: len(lines[k]) // 2]
+                with open(store.root / name, "a", encoding="utf-8") as fh:
+                    fh.write(partial)
+                raise _Killed
+            real_append(store, name, lines)
+
+        monkeypatch.setattr(DirectoryStore, "append_lines", dying_append)
+        first = StreamingSink(bundle.max_attempts, DirectoryStore(tmp_path), CFG)
+        with pytest.raises(_Killed):
+            list(first.run(bundle.records))
+        monkeypatch.undo()
+        assert torn
+
+        resumed = StreamingSink.resume(DirectoryStore(tmp_path))
+        snaps = list(resumed.run(bundle.records))
+        assert estimate_fields(snaps[-1].estimates) == estimate_fields(
+            clean[-1].estimates
+        )
+        assert resumed.stats.consumed == clean[-1].stats.consumed
 
 
 class TestSupervisor:
