@@ -327,7 +327,7 @@ def solve_batch(
 class _LinkData:
     """Evidence accumulated for one directed link (sufficient statistics)."""
 
-    __slots__ = ("n_exact", "sum_retx", "censored", "times")
+    __slots__ = ("n_exact", "sum_retx", "censored")
 
     def __init__(self) -> None:
         #: Number of exact observations.
@@ -336,8 +336,6 @@ class _LinkData:
         self.sum_retx = 0
         #: Attempt-space (lo, hi) inclusive censored interval -> count.
         self.censored: Dict[Tuple[int, int], int] = {}
-        #: Observation times (for diagnostics / windowing by re-building).
-        self.times: List[float] = []
 
     @property
     def n_censored(self) -> int:
@@ -364,7 +362,12 @@ class PerLinkEstimator:
     def add_exact(
         self, link: Tuple[int, int], retx_count: int, time: float = 0.0
     ) -> None:
-        """Record an exact observation of ``retx_count`` retransmissions."""
+        """Record an exact observation of ``retx_count`` retransmissions.
+
+        ``time`` (here and in the other ``add_*`` methods) keeps the call
+        shape :class:`~repro.core.windowed.SlidingLinkEstimator` shares;
+        the likelihood does not depend on it, so it is not stored.
+        """
         attempt = retx_count + 1
         if not 1 <= attempt <= self.max_attempts:
             raise ValueError(
@@ -373,7 +376,6 @@ class PerLinkEstimator:
         d = self._data[link]
         d.n_exact += 1
         d.sum_retx += retx_count
-        d.times.append(time)
 
     def add_censored(
         self,
@@ -388,7 +390,6 @@ class PerLinkEstimator:
             raise ValueError(f"censored attempts [{lo}, {hi}] invalid")
         d = self._data[link]
         d.censored[(lo, hi)] = d.censored.get((lo, hi), 0) + 1
-        d.times.append(time)
 
     def add_hops(self, hops: Sequence[DecodedHop], time: float = 0.0) -> None:
         """Feed a sequence of decoded hops (a full annotation's, or the
@@ -540,18 +541,19 @@ class PerLinkEstimator:
             mine.sum_retx += data.sum_retx
             for interval, count in data.censored.items():
                 mine.censored[interval] = mine.censored.get(interval, 0) + count
-            mine.times.extend(data.times)
 
     # -- serialization ----------------------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of all accumulated evidence.
 
-        The layout is canonical — links and censored intervals are
-        sorted — so two estimators holding the same evidence serialize
-        to identical structures regardless of feeding order (per link,
-        observation *times* keep their arrival order; they are
-        diagnostics and never influence estimates).
+        The state is the likelihood's sufficient statistics and nothing
+        else, so its size grows with the number of links (and distinct
+        censored intervals), not with the number of observations. The
+        layout is canonical — links and censored intervals are sorted —
+        so two estimators holding the same evidence serialize to
+        identical structures regardless of feeding order, sharding or
+        merge order.
         """
         links: List[Dict[str, Any]] = []
         for link in self.links():
@@ -564,7 +566,6 @@ class PerLinkEstimator:
                     "censored": [
                         [lo, hi, cnt] for (lo, hi), cnt in sorted(d.censored.items())
                     ],
-                    "times": list(d.times),
                 }
             )
         return {
@@ -580,7 +581,9 @@ class PerLinkEstimator:
 
         Raises ``ValueError`` on schema mismatches or structurally
         invalid payloads (the checkpoint layer wraps this into its typed
-        :class:`~repro.stream.checkpoint.CheckpointError`).
+        :class:`~repro.stream.checkpoint.CheckpointError`). A per-link
+        ``"times"`` list, which older states carried as diagnostics, is
+        ignored: it never entered the likelihood.
         """
         schema = state.get("schema")
         if schema != ESTIMATOR_STATE_SCHEMA:
@@ -611,7 +614,6 @@ class PerLinkEstimator:
                         f"for link {link}"
                     )
                 d.censored[(lo, hi)] = cnt
-            d.times = [float(t) for t in entry.get("times", [])]
         return est
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -4,7 +4,8 @@ A :class:`ShardWorker` owns one :class:`~repro.core.estimator.PerLinkEstimator`
 covering the links whose packets hash to it, and the two durable
 artifacts recovery needs: a write-ahead spool (every record is logged
 before any estimator sees it) and a versioned checkpoint (written every
-few snapshots, after which the spool's acked prefix is truncated).
+few snapshots once every spooled record is applied, after which the
+spool is deleted unread).
 
 The apply step is factored as the *stateless* module-level
 :func:`shard_apply_task` — fold a batch into a fresh estimator, return
@@ -209,7 +210,7 @@ class ShardWorker:
         return max_time
 
     def checkpoint(self) -> None:
-        """Durably snapshot the estimator; truncate the acked spool prefix."""
+        """Durably snapshot the estimator; delete the acked spool unread."""
         if self.estimator is None:
             raise RuntimeError(f"shard {self.index} is down; cannot checkpoint")
         if self.lag != 0:

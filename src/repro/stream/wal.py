@@ -7,10 +7,14 @@ sequence number", and the final estimates are field-identical to a run
 that never crashed (the property ``tests/stream/test_crash_recovery.py``
 pins).
 
-Each line is self-checking JSON::
+Each line is self-checking JSON in exactly one form::
 
-    {"crc": <crc32 of the record JSON>, "rec": {...packet record...},
-     "seq": <1-based shard-local sequence>}
+    {"crc":<crc32 of the rec bytes>,"rec":<record JSON>,"seq":<seq>}
+
+with the record JSON canonical (sorted keys, compact) and ``seq`` the
+1-based shard-local sequence. The reader accepts that form only: it
+checks the CRC over the ``rec`` bytes as stored and parses just those
+bytes, so a line is parsed once and never re-serialized.
 
 **Group commit.** Inside :meth:`WriteAheadLog.group`, :meth:`append`
 only encodes and buffers its line; when the block exits, the buffered
@@ -32,14 +36,19 @@ Failure handling distinguishes the two ways a spool goes bad:
   storage damage, not a torn append; replay refuses to guess and raises
   the typed :class:`WalError` instead of silently skipping evidence.
 
-After a checkpoint acks sequence ``n``, :meth:`truncate_through`
-atomically rewrites the spool without the acked prefix, keeping spool
-size proportional to the checkpoint interval rather than the stream.
+A checkpoint is taken only when every spooled record is applied, so
+once it acks sequence ``n`` :meth:`truncate_through` deletes the spool
+without reading it. Spool size stays proportional to the checkpoint
+interval rather than the stream, and a line damaged after it was
+applied is never read again, so it cannot block the checkpoint or a
+later restore. The log remembers the highest sequence it has committed
+or parsed and refuses to delete a spool holding an entry past the cut.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -64,19 +73,19 @@ def _encode_line(seq: int, record: PacketRecord) -> str:
     return f'{{"crc":{crc},"rec":{rec},"seq":{seq}}}'
 
 
+#: The one form :func:`_encode_line` writes: crc, record JSON, seq.
+_LINE = re.compile(r'\{"crc":(0|[1-9][0-9]*),"rec":(.*),"seq":([1-9][0-9]*)\}')
+
+
 def _decode_line(line: str) -> Tuple[int, PacketRecord]:
     """Parse one spool line; raises ``ValueError`` on any damage."""
-    entry = json.loads(line)
-    if not isinstance(entry, dict):
-        raise ValueError("WAL line is not an object")
-    seq = entry["seq"]
-    if not isinstance(seq, int) or seq < 1:
-        raise ValueError(f"bad WAL sequence number {seq!r}")
-    rec_json = json.dumps(entry["rec"], sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(rec_json.encode("utf-8")) & 0xFFFFFFFF
-    if crc != entry["crc"]:
+    match = _LINE.fullmatch(line)
+    if match is None:
+        raise ValueError("WAL line is not in the form the writer emits")
+    crc, rec, seq = match.groups()
+    if zlib.crc32(rec.encode("utf-8")) != int(crc):
         raise ValueError("WAL record failed its CRC")
-    return seq, record_from_dict(entry["rec"])
+    return int(seq), record_from_dict(json.loads(rec))
 
 
 class WriteAheadLog:
@@ -89,6 +98,9 @@ class WriteAheadLog:
         self.torn_tail_dropped = 0
         #: ``(seq, line)`` buffered by the open :meth:`group`, else None.
         self._group: Optional[List[Tuple[int, str]]] = None
+        #: Highest sequence known to be in the spool: raised by each
+        #: commit, reset by each parse; 0 when none is known.
+        self._last_seq = 0
 
     def append(self, seq: int, record: PacketRecord) -> None:
         """Durably log ``record`` as shard-local sequence ``seq``.
@@ -122,6 +134,7 @@ class WriteAheadLog:
             self._appended([seq for seq, _ in pending])
 
     def _appended(self, seqs: Sequence[int]) -> None:
+        self._last_seq = max(self._last_seq, *seqs)
         sanitizer = _sanitize_hooks.ACTIVE
         if sanitizer is not None:
             for seq in seqs:
@@ -154,6 +167,7 @@ class WriteAheadLog:
                     f"{self.name}: non-increasing sequence {seq} after {prev}"
                 )
             prev = seq
+        self._last_seq = prev
         return out, torn
 
     def replay(self, after_seq: int) -> Iterator[Tuple[int, PacketRecord]]:
@@ -163,15 +177,22 @@ class WriteAheadLog:
             if seq > after_seq:
                 yield seq, record
 
-    def truncate_through(self, seq: int) -> int:
-        """Atomically drop entries with sequence <= ``seq``; returns kept count."""
-        entries, _torn = self._parse_all()
-        kept = [_encode_line(s, record) for s, record in entries if s > seq]
-        if kept:
-            self.store.replace_lines(self.name, kept)
-        else:
-            self.store.delete(self.name)
-        return len(kept)
+    def truncate_through(self, seq: int) -> None:
+        """Delete the spool, unread, once a checkpoint has acked ``seq``.
+
+        The caller checkpoints only when nothing past ``seq`` is spooled
+        (:meth:`ShardWorker.checkpoint
+        <repro.stream.shard.ShardWorker.checkpoint>` requires zero lag).
+        Raises ``ValueError``, deleting nothing, if this log committed or
+        parsed an entry past ``seq``: that evidence is not acked.
+        """
+        if self._last_seq > seq:
+            raise ValueError(
+                f"{self.name}: entry {self._last_seq} is past the cut {seq}; "
+                "deleting the spool would drop unacked evidence"
+            )
+        self.store.delete(self.name)
+        self._last_seq = 0
 
     def drop_after(self, seq: int) -> int:
         """Atomically drop entries with sequence > ``seq``; returns dropped count.
@@ -184,14 +205,14 @@ class WriteAheadLog:
         followed by valid ones reads as mid-file corruption.
         """
         entries, torn = self._parse_all()
-        kept = [_encode_line(s, record) for s, record in entries if s <= seq]
+        kept = [(s, record) for s, record in entries if s <= seq]
         dropped = len(entries) - len(kept)
         if dropped or torn:
             if kept:
-                self.store.replace_lines(self.name, kept)
+                self.store.replace_lines(
+                    self.name, [_encode_line(s, record) for s, record in kept]
+                )
             else:
                 self.store.delete(self.name)
+        self._last_seq = kept[-1][0] if kept else 0
         return dropped
-
-    def __len__(self) -> int:
-        return len(self._parse_all()[0])

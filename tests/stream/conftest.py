@@ -19,15 +19,3 @@ def estimate_fields(estimates):
         link: (est.loss, est.stderr, est.n_exact, est.n_censored)
         for link, est in estimates.items()
     }
-
-
-def suff_fields(estimator):
-    """Per-link sufficient statistics (order-independent merge invariant)."""
-    return {
-        tuple(entry["link"]): (
-            entry["n_exact"],
-            entry["sum_retx"],
-            tuple(map(tuple, entry["censored"])),
-        )
-        for entry in estimator.state_dict()["links"]
-    }

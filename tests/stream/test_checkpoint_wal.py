@@ -22,6 +22,8 @@ from repro.stream import (
     MemoryStore,
     PacketRecord,
     ShardWorker,
+    SinkConfig,
+    StreamingSink,
     WalError,
     WriteAheadLog,
     decode_checkpoint,
@@ -30,8 +32,10 @@ from repro.stream import (
     load_checkpoint,
     record_to_dict,
     save_checkpoint,
+    shard_apply_task,
 )
-from repro.stream.wal import _encode_line
+from repro.stream import wal as wal_module
+from repro.stream.wal import _decode_line, _encode_line
 
 
 def rec(seqno, created_at=1.0):
@@ -178,9 +182,26 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(store, "s.wal")
         for i in range(1, 6):
             wal.append(i, rec(i))
-        assert wal.truncate_through(3) == 2
-        assert [seq for seq, _ in wal.replay(0)] == [4, 5]
-        assert wal.truncate_through(5) == 0
+        # Entries 4 and 5 are not acked by a cut at 3: refuse, keep all.
+        with pytest.raises(ValueError, match="past the cut"):
+            wal.truncate_through(3)
+        assert [seq for seq, _ in wal.replay(0)] == [1, 2, 3, 4, 5]
+        # A cut at the spool's end deletes it.
+        wal.truncate_through(5)
+        assert not store.exists("s.wal")
+
+    def test_truncate_through_knows_the_entries_a_parse_saw(self):
+        store = MemoryStore()
+        writer = WriteAheadLog(store, "s.wal")
+        with writer.group():
+            for i in range(1, 4):
+                writer.append(i, rec(i))
+        reader = WriteAheadLog(store, "s.wal")
+        assert [seq for seq, _ in reader.replay(3)] == []
+        with pytest.raises(ValueError, match="past the cut"):
+            reader.truncate_through(2)
+        assert reader.drop_after(2) == 1
+        reader.truncate_through(2)
         assert not store.exists("s.wal")
 
     def test_drop_after_cuts_the_tail(self):
@@ -233,6 +254,78 @@ def test_wal_line_is_byte_identical_to_the_reference_encoding(seq, record):
     # Spools written before lines were built around the record JSON must
     # still replay, and new spools must read the same to older code.
     assert _encode_line(seq, record) == reference_line(seq, record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.integers(min_value=1, max_value=2**64), record=any_record)
+@example(seq=1, record=rec(1, math.nan))
+@example(seq=1, record=rec(1, -0.0))
+def test_wal_line_decodes_to_what_was_encoded(seq, record):
+    got_seq, got = _decode_line(_encode_line(seq, record))
+    assert got_seq == seq
+    # repr, not ==, so that NaN matches itself and -0.0 is told from 0.0.
+    assert repr(record_to_dict(got)) == repr(record_to_dict(record))
+
+
+def field_spans(line):
+    """``{field: (start, end)}`` of the crc, rec and seq values in a line."""
+    rec_key, seq_key = ',"rec":', ',"seq":'
+    crc_end = line.index(rec_key)
+    seq_at = line.rindex(seq_key)
+    return {
+        "crc": (len('{"crc":'), crc_end),
+        "rec": (crc_end + len(rec_key), seq_at),
+        "seq": (seq_at + len(seq_key), len(line) - 1),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seq=st.integers(min_value=1, max_value=2**64),
+    record=any_record,
+    data=st.data(),
+)
+def test_changing_a_byte_of_a_wal_line_is_rejected(seq, record, data):
+    """A one-byte change in the crc or rec value always fails the CRC or
+    the line form. The seq value is outside the CRC (the line format is
+    pinned to the older spools'), so only a change that breaks its
+    digits is rejected: a digit rewritten to another digit gives another
+    well-formed line."""
+    line = _encode_line(seq, record)
+    field = data.draw(st.sampled_from(["crc", "rec", "seq"]))
+    start, end = field_spans(line)[field]
+    i = data.draw(st.integers(min_value=start, max_value=end - 1))
+    byte = st.characters(max_codepoint=127)
+    if field == "seq":
+        byte = byte.filter(lambda c: not c.isdigit())
+    new = data.draw(byte.filter(lambda c: c != line[i]))
+    with pytest.raises(ValueError):
+        _decode_line(line[:i] + new + line[i + 1 :])
+
+
+def test_only_the_writers_exact_form_is_accepted():
+    record = rec(3)
+    rec_json = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+    crc = zlib.crc32(rec_json.encode("utf-8"))
+    assert _decode_line(f'{{"crc":{crc},"rec":{rec_json},"seq":3}}') == (3, record)
+    for envelope in (
+        {"seq": 3, "crc": crc, "rec": json.loads(rec_json)},  # reordered keys
+        {"rec": json.loads(rec_json), "crc": crc, "seq": 3},
+    ):
+        with pytest.raises(ValueError):
+            _decode_line(json.dumps(envelope, separators=(",", ":")))
+    for variant in (
+        f'{{"crc": {crc}, "rec": {rec_json}, "seq": 3}}',  # added spaces
+        f'{{"crc":{crc},"rec":{rec_json},"seq":3}} ',
+        f'{{"crc":{crc},"rec":{rec_json},"seq":3,"x":1}}',
+        f'{{"crc":"{crc}","rec":{rec_json},"seq":3}}',
+        f'{{"crc":{crc},"rec":{rec_json},"seq":0}}',
+        f'{{"crc":{crc},"rec":{rec_json},"seq":03}}',
+        f'{{"crc":0{crc},"rec":{rec_json},"seq":3}}',
+        f'{{"crc":{crc},"rec":{rec_json},"seq":-3}}',
+    ):
+        with pytest.raises(ValueError):
+            _decode_line(variant)
 
 
 def fsync_counter(monkeypatch):
@@ -323,7 +416,120 @@ class TestGroupCommit:
         assert [seq for seq, _ in wal.replay(0)] == [1, 2, 3, 4]
 
 
+class TestCheckpointDeletesSpoolUnread:
+    def test_damaged_applied_line_does_not_brick_the_shard(
+        self, tmp_path, monkeypatch
+    ):
+        store = DirectoryStore(tmp_path)
+        worker = ShardWorker(0, 3, store)
+        records = [rec(i, created_at=float(i)) for i in range(1, 6)]
+        worker.log(records)
+        worker.absorb(shard_apply_task(worker.payload(records)), len(records))
+        # Storage damage after the line was applied: line 2 fails its CRC.
+        path = tmp_path / worker.wal.name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"seqno":2', b'"seqno":9')
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(WalError):
+            list(WriteAheadLog(store, worker.wal.name).replay(0))
+
+        decoded = []
+        real = wal_module._decode_line
+
+        def counting(line):
+            decoded.append(line)
+            return real(line)
+
+        monkeypatch.setattr(wal_module, "_decode_line", counting)
+        worker.checkpoint()
+        assert decoded == []
+        assert not store.exists(worker.wal.name)
+        monkeypatch.undo()
+
+        restored = ShardWorker(0, 3, store)
+        restored.restore()
+        assert restored.seq_applied == 5
+        assert restored.estimator.n_samples((1, 0)) == 5
+        expected = PerLinkEstimator(3)
+        feed_estimator(expected, records)
+        assert restored.estimator.state_dict() == expected.state_dict()
+
+
+def with_times(state):
+    """``state`` in the older layout: every link carries a ``times`` list."""
+    links = []
+    for entry in state["links"]:
+        n = entry["n_exact"] + sum(cnt for _, _, cnt in entry["censored"])
+        links.append({**entry, "times": [0.5 * i for i in range(n)]})
+    return {**state, "links": links}
+
+
 class TestStateRoundTrips:
+    def test_state_dict_is_sufficient_statistics_only(self):
+        est = PerLinkEstimator(4)
+        est.add_exact((0, 1), 2, 3.0)
+        est.add_censored((1, 2), 1, 3, 4.0)
+        state = est.state_dict()
+        for entry in state["links"]:
+            assert set(entry) == {"link", "n_exact", "sum_retx", "censored"}
+        assert "times" not in json.dumps(state)
+
+    def test_state_with_times_restores_to_the_same_estimates(self):
+        est = PerLinkEstimator(4)
+        for i in range(30):
+            est.add_exact((0, 1), i % 3, float(i))
+            est.add_exact((2, 1), i % 2, float(i))
+            est.add_censored((2, 1), 1, 3, float(i))
+        old = with_times(est.state_dict())
+        assert all(entry["times"] for entry in old["links"])
+        clone = PerLinkEstimator.from_state(old)
+        assert clone.state_dict() == est.state_dict()
+        assert clone.estimates() == est.estimates()
+
+    def test_resume_from_checkpoints_with_times(self, bundle, tmp_path):
+        config = SinkConfig(
+            n_shards=3, merge_every=4, arrival_burst=8, service_batch=8, alerts=None
+        )
+        clean = StreamingSink(bundle.max_attempts, MemoryStore(), config)
+        clean_final = list(clean.run(bundle.records))[-1]
+
+        store = DirectoryStore(tmp_path)
+        first = StreamingSink(bundle.max_attempts, store, config)
+        gen = first.run(bundle.records)
+        for _ in range(3):  # checkpoints are written at the second snapshot
+            next(gen)
+        gen.close()
+        ckpts = [name for name in store.names() if name.endswith(".ckpt")]
+        assert ckpts
+        for name in ckpts:
+            payload = load_checkpoint(store, name)
+            payload["estimator"] = with_times(payload["estimator"])
+            save_checkpoint(store, name, payload)
+
+        resumed = StreamingSink.resume(store)
+        final = list(resumed.run(bundle.records))[-1]
+        assert final.estimates == clean_final.estimates
+        assert (
+            resumed.global_estimator().state_dict()
+            == clean.global_estimator().state_dict()
+        )
+
+    def test_checkpoint_size_grows_with_links_not_observations(self):
+        def checkpoint_bytes(per_link):
+            est = PerLinkEstimator(4)
+            for link in [(u, u + 1) for u in range(20)]:
+                for i in range(per_link):
+                    est.add_exact(link, i % 3, float(i))
+                    if i % 4 == 0:
+                        est.add_censored(link, 1, 3, float(i))
+            payload = {"shard": 0, "seq": 20 * per_link, "estimator": est.state_dict()}
+            return len(encode_checkpoint(payload))
+
+        small, large = checkpoint_bytes(100), checkpoint_bytes(1000)
+        # 9,000 more exact observations over the same 20 links: a few
+        # more count digits per link, not bytes per observation.
+        assert large - small <= 4 * 20
+
     def test_estimator_rejects_unknown_schema(self):
         est = PerLinkEstimator(3)
         state = est.state_dict()

@@ -16,10 +16,14 @@ from repro.stream import (
 from tests.stream.conftest import estimate_fields
 
 
-def batch_reference(bundle):
+def batch_estimator(bundle):
     est = PerLinkEstimator(bundle.max_attempts)
     feed_estimator(est, bundle.records)
-    return estimate_fields(est.estimates())
+    return est
+
+
+def batch_reference(bundle):
+    return estimate_fields(batch_estimator(bundle).estimates())
 
 
 class TestBatchEquivalence:
@@ -29,6 +33,12 @@ class TestBatchEquivalence:
         sink = StreamingSink(bundle.max_attempts, MemoryStore(), config)
         final = list(sink.run(bundle.records))[-1]
         assert estimate_fields(final.estimates) == batch_reference(bundle)
+        # Not just the estimates: the merged sufficient statistics are
+        # the batch estimator's, whatever the shard count.
+        assert (
+            sink.global_estimator().state_dict()
+            == batch_estimator(bundle).state_dict()
+        )
         assert final.final
         assert sink.stats.consumed == len(bundle.records)
 
