@@ -12,6 +12,17 @@ The model argument is duck-typed: anything with ``interval(symbol) ->
 static :class:`~repro.coding.freq.FrequencyTable` and adaptive tables are
 interchangeable, and a *sequence* of models (one per hop position) can be
 used for context modelling.
+
+The register work is done a word at a time. When ``low`` and ``high``
+share their top ``k`` bits, renormalization shifts all ``k`` out at once
+(``k = 32 - (low ^ high).bit_length()``), and the encoder writes them,
+with the pending underflow bits behind the first, in one write; the
+decoder refills ``k`` register bits with one read. That equals ``k``
+rounds of the classic one-bit loop: once the common prefix is gone the
+top bits of ``low`` and ``high`` differ, and an underflow step
+(``low >= 1/4``, ``high < 3/4``) keeps them differing, so no prefix step
+can follow one. Underflow steps are still taken one at a time. The wire
+bits are those of the bit-serial coder (``tests/coding/bitserial.py``).
 """
 
 from __future__ import annotations
@@ -73,34 +84,45 @@ class ArithmeticEncoder:
             )
         if cum_lo >= cum_hi:
             raise ValueError("symbol has empty interval (zero frequency)")
-        span = self._high - self._low + 1
-        self._high = self._low + (span * cum_hi) // total - 1
-        self._low = self._low + (span * cum_lo) // total
-        self._renormalize()
+        low = self._low
+        span = self._high - low + 1
+        high = low + (span * cum_hi) // total - 1
+        low = low + (span * cum_lo) // total
         self._symbols_encoded += 1
+        if (low ^ high) >= _HALF and (low < _QUARTER or high >= _THREE_QUARTERS):
+            # Top bits differ and no underflow: no bit is resolved yet.
+            self._low = low
+            self._high = high
+            return
+        self._renormalize(low, high)
 
-    def _renormalize(self) -> None:
-        while True:
-            if self._high < _HALF:
-                self._emit(0)
-            elif self._low >= _HALF:
-                self._emit(1)
-                self._low -= _HALF
-                self._high -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
-                self._pending += 1
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-            else:
-                break
-            self._low <<= 1
-            self._high = (self._high << 1) | 1
+    def _renormalize(self, low: int, high: int) -> None:
+        k = _CODE_BITS - (low ^ high).bit_length()
+        if k:
+            # Shift out the k-bit common prefix; the pending underflow
+            # bits (the inverse of its first bit) go out right behind
+            # that first bit, in the same write.
+            prefix = low >> (_CODE_BITS - k)
+            pending = self._pending
+            if pending:
+                rest = k - 1
+                lead = 1 << pending if prefix >> rest else (1 << pending) - 1
+                prefix = (lead << rest) | (prefix & ((1 << rest) - 1))
+                self._pending = 0
+            self._writer.write_uint(prefix, k + pending)
+            low = (low << k) & _TOP
+            high = ((high << k) & _TOP) | ((1 << k) - 1)
+        while low >= _QUARTER and high < _THREE_QUARTERS:
+            self._pending += 1
+            low = (low - _QUARTER) << 1
+            high = ((high - _QUARTER) << 1) | 1
+        self._low = low
+        self._high = high
 
     def _emit(self, bit: int) -> None:
-        self._writer.write_bit(bit)
-        inverse = 1 - bit
-        for _ in range(self._pending):
-            self._writer.write_bit(inverse)
+        # ``bit`` then the pending bits, which are its inverse.
+        pending = self._pending
+        self._writer.write_uint(1 << pending if bit else (1 << pending) - 1, pending + 1)
         self._pending = 0
 
     def finish(self) -> Tuple[bytes, int]:
@@ -135,7 +157,8 @@ class ArithmeticEncoder:
         """Exact length the stream would have if finished now (non-destructive)."""
         if self._finished:
             return self._writer.bit_length
-        return self.copy().finish()[1]
+        # finish() emits one bit followed by the pending bits plus one.
+        return self._writer.bit_length + self._pending + 2
 
     def copy(self) -> "ArithmeticEncoder":
         """Deep copy of the in-flight coder state (used when packets fork/probe)."""
@@ -159,19 +182,31 @@ class ArithmeticDecoder:
     """Decoder counterpart; decodes symbols in encode order given the same models."""
 
     def __init__(self, data: bytes, bit_length: Optional[int] = None) -> None:
-        self._reader = BitReader(data, bit_length)
-        self._low = 0
-        self._high = _TOP
-        self._value = 0
-        for _ in range(_CODE_BITS):
-            self._value = (self._value << 1) | self._reader.read_bit()
-        self._symbols_decoded = 0
+        self._start(BitReader(data, bit_length))
 
     @classmethod
     def from_encoder_output(cls, payload: Tuple[bytes, int]) -> "ArithmeticDecoder":
         """Convenience: build from the tuple :meth:`ArithmeticEncoder.finish` returns."""
         data, bit_length = payload
         return cls(data, bit_length)
+
+    @classmethod
+    def from_reader(cls, reader: BitReader) -> "ArithmeticDecoder":
+        """Decode the stream that runs from ``reader``'s position to its end.
+
+        The decoder reads on from ``reader`` itself, so ``bits_consumed``
+        there counts the register bits too.
+        """
+        decoder = cls.__new__(cls)
+        decoder._start(reader)
+        return decoder
+
+    def _start(self, reader: BitReader) -> None:
+        self._reader = reader
+        self._low = 0
+        self._high = _TOP
+        self._value = reader.read_uint(_CODE_BITS)
+        self._symbols_decoded = 0
 
     def decode_symbol(self, model: SymbolModel) -> int:
         """Decode and return the next symbol under ``model``."""
@@ -180,13 +215,29 @@ class ArithmeticDecoder:
             raise ValueError(
                 f"model total {total} exceeds coder precision limit {MAX_MODEL_TOTAL}"
             )
-        span = self._high - self._low + 1
-        scaled = ((self._value - self._low + 1) * total - 1) // span
+        low = self._low
+        value = self._value
+        span = self._high - low + 1
+        scaled = ((value - low + 1) * total - 1) // span
         symbol = model.symbol_for(scaled)
         cum_lo, cum_hi, total = model.interval(symbol)
-        self._high = self._low + (span * cum_hi) // total - 1
-        self._low = self._low + (span * cum_lo) // total
-        self._renormalize()
+        high = low + (span * cum_hi) // total - 1
+        low = low + (span * cum_lo) // total
+        k = _CODE_BITS - (low ^ high).bit_length()
+        if k:
+            # One prefix step subtracts low's top bit from value and
+            # shifts; k of them subtract low's k-bit prefix.
+            shift = _CODE_BITS - k
+            value = ((value - ((low >> shift) << shift)) << k) | self._reader.read_uint(k)
+            low = (low << k) & _TOP
+            high = ((high << k) & _TOP) | ((1 << k) - 1)
+        while low >= _QUARTER and high < _THREE_QUARTERS:
+            low = (low - _QUARTER) << 1
+            high = ((high - _QUARTER) << 1) | 1
+            value = ((value - _QUARTER) << 1) | self._reader.read_bit()
+        self._low = low
+        self._high = high
+        self._value = value
         self._symbols_decoded += 1
         return symbol
 
@@ -195,24 +246,6 @@ class ArithmeticDecoder:
         if count < 0:
             raise ValueError("count must be >= 0")
         return [self.decode_symbol(model) for _ in range(count)]
-
-    def _renormalize(self) -> None:
-        while True:
-            if self._high < _HALF:
-                pass
-            elif self._low >= _HALF:
-                self._low -= _HALF
-                self._high -= _HALF
-                self._value -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-                self._value -= _QUARTER
-            else:
-                break
-            self._low <<= 1
-            self._high = (self._high << 1) | 1
-            self._value = (self._value << 1) | self._reader.read_bit()
 
     @property
     def symbols_decoded(self) -> int:

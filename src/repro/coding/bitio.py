@@ -1,11 +1,16 @@
 """Bit-level writer/reader primitives.
 
 All entropy coders in :mod:`repro.coding` produce and consume streams of
-individual bits. ``BitWriter`` accumulates bits most-significant-first into
-a byte buffer; ``BitReader`` replays them in the same order. Both track the
+bits. ``BitWriter`` accumulates bits most-significant-first into a byte
+buffer; ``BitReader`` replays them in the same order. Both track the
 exact bit length, which the overhead-accounting layer reports (a packet
 annotation of 13 bits costs 13 bits in our accounting, even though a real
 radio would pad to 2 bytes — byte-padded figures are derived views).
+
+Both work a word at a time: the writer shifts a whole field into a
+Python int and moves complete bytes out of it once it holds
+``_FLUSH_BITS`` bits, and the reader cuts a field out of one window of
+bytes. A field of ``w`` bits costs one call, not ``w``.
 """
 
 from __future__ import annotations
@@ -14,27 +19,37 @@ from typing import Iterable, List
 
 __all__ = ["BitWriter", "BitReader"]
 
+#: The writer's accumulator hands its whole bytes to the buffer once it
+#: holds this many bits, so every shift works on a small int and a long
+#: stream is written in linear time.
+_FLUSH_BITS = 64
+
 
 class BitWriter:
     """Accumulates bits (MSB-first within each byte) into a growable buffer."""
 
     def __init__(self) -> None:
         self._bytes = bytearray()
-        self._current = 0  # partial byte being filled
-        self._nbits_in_current = 0
-        self._total_bits = 0
+        self._acc = 0  # bits not yet moved to ``_bytes``, MSB-first
+        self._nacc = 0  # how many bits ``_acc`` holds
+
+    def _append(self, value: int, width: int) -> None:
+        # ``value`` is known to fit in ``width`` bits.
+        acc = (self._acc << width) | value
+        nacc = self._nacc + width
+        if nacc >= _FLUSH_BITS:
+            keep = nacc & 7
+            self._bytes += (acc >> keep).to_bytes(nacc >> 3, "big")
+            acc &= (1 << keep) - 1
+            nacc = keep
+        self._acc = acc
+        self._nacc = nacc
 
     def write_bit(self, bit: int) -> None:
         """Append a single bit (0 or 1)."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        self._current = (self._current << 1) | bit
-        self._nbits_in_current += 1
-        self._total_bits += 1
-        if self._nbits_in_current == 8:
-            self._bytes.append(self._current)
-            self._current = 0
-            self._nbits_in_current = 0
+        self._append(bit, 1)
 
     def write_bits(self, bits: Iterable[int]) -> None:
         """Append each bit from ``bits`` in order."""
@@ -47,33 +62,29 @@ class BitWriter:
             raise ValueError("width must be >= 0")
         if value < 0 or (width < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        self._append(value, width)
 
     def write_unary(self, value: int) -> None:
         """Append ``value`` ones followed by a terminating zero."""
         if value < 0:
             raise ValueError("unary value must be >= 0")
-        for _ in range(value):
-            self.write_bit(1)
-        self.write_bit(0)
+        self._append(((1 << value) - 1) << 1, value + 1)
 
     @property
     def bit_length(self) -> int:
         """Number of bits written so far."""
-        return self._total_bits
+        return 8 * len(self._bytes) + self._nacc
 
     @property
     def byte_length(self) -> int:
         """Bytes needed to hold the stream (last byte zero-padded)."""
-        return (self._total_bits + 7) // 8
+        return (self.bit_length + 7) // 8
 
     def getvalue(self) -> bytes:
         """Return the stream as bytes, zero-padding the trailing partial byte."""
-        out = bytearray(self._bytes)
-        if self._nbits_in_current:
-            out.append(self._current << (8 - self._nbits_in_current))
-        return bytes(out)
+        nacc = self._nacc
+        tail = (self._acc << (-nacc & 7)).to_bytes((nacc + 7) >> 3, "big")
+        return bytes(self._bytes) + tail
 
     def to_bits(self) -> List[int]:
         """Return the exact bit sequence written (no padding)."""
@@ -81,24 +92,23 @@ class BitWriter:
         for byte in self._bytes:
             for shift in range(7, -1, -1):
                 bits.append((byte >> shift) & 1)
-        for shift in range(self._nbits_in_current - 1, -1, -1):
-            bits.append((self._current >> shift) & 1)
+        for shift in range(self._nacc - 1, -1, -1):
+            bits.append((self._acc >> shift) & 1)
         return bits
 
     def copy(self) -> "BitWriter":
         """Deep copy — used when an in-flight encoder state must be forked."""
         clone = BitWriter.__new__(BitWriter)
         clone._bytes = bytearray(self._bytes)
-        clone._current = self._current
-        clone._nbits_in_current = self._nbits_in_current
-        clone._total_bits = self._total_bits
+        clone._acc = self._acc
+        clone._nacc = self._nacc
         return clone
 
     def __len__(self) -> int:
-        return self._total_bits
+        return self.bit_length
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BitWriter(bits={self._total_bits})"
+        return f"BitWriter(bits={self.bit_length})"
 
 
 class BitReader:
@@ -126,22 +136,30 @@ class BitReader:
 
     def read_bit(self) -> int:
         """Return the next bit, or 0 once the stream is exhausted."""
-        if self._pos >= self._bit_length:
-            self._pos += 1
+        pos = self._pos
+        self._pos = pos + 1
+        if pos >= self._bit_length:
             return 0
-        byte = self._data[self._pos // 8]
-        bit = (byte >> (7 - (self._pos % 8))) & 1
-        self._pos += 1
-        return bit
+        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
     def read_uint(self, width: int) -> int:
-        """Read ``width`` bits as a big-endian unsigned integer."""
+        """Read ``width`` bits as a big-endian unsigned integer.
+
+        Bits past the end of the stream read as 0, as in :meth:`read_bit`.
+        """
         if width < 0:
             raise ValueError("width must be >= 0")
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
+        pos = self._pos
+        end = pos + width
+        self._pos = end
+        stop = end if end <= self._bit_length else self._bit_length
+        if stop <= pos:
+            return 0
+        first = pos >> 3
+        last = (stop + 7) >> 3
+        window = int.from_bytes(self._data[first:last], "big")
+        value = (window >> ((last << 3) - stop)) & ((1 << (stop - pos)) - 1)
+        return value << (end - stop)
 
     def read_unary(self) -> int:
         """Read a unary-coded value (count of 1s before the first 0)."""

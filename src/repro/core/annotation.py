@@ -35,7 +35,7 @@ from repro.coding.baseline_codes import EliasGammaCode
 from repro.coding.bitio import BitWriter
 from repro.coding.freq import FrequencyTable
 from repro.core.config import DophyConfig
-from repro.core.model import ModelManager
+from repro.core.model import EpochModel, ModelManager
 from repro.core.path_codec import PathRankModel
 from repro.core.symbols import SymbolSet
 
@@ -51,6 +51,8 @@ class DophyAnnotation:
     """Mutable in-flight annotation state carried inside a packet."""
 
     epoch: int
+    #: The epoch's alphabet, tables and class map, resolved once per packet.
+    model: EpochModel
     encoder: ArithmeticEncoder = field(default_factory=ArithmeticEncoder)
     path_ids: List[int] = field(default_factory=list)
     #: Encoder-side record of emitted symbols (diagnostics; not transmitted).
@@ -107,7 +109,9 @@ class AnnotationCodec:
             epoch = self.models.current_epoch_for(time)
         else:
             epoch = self.models.current_epoch
-        return DophyAnnotation(epoch=epoch)
+        # Nodes keep the last model they received, so this lookup also
+        # sees epochs the sink's decode window already evicted.
+        return DophyAnnotation(epoch=epoch, model=self.models.encoder_epoch_model(epoch))
 
     def annotate_hop(
         self,
@@ -117,28 +121,26 @@ class AnnotationCodec:
         retx_count: int,
     ) -> None:
         """Append one hop's contribution (called at the receiving node)."""
-        if self.config.path_encoding == "compressed":
+        encoder = annotation.encoder
+        path_encoding = self.config.path_encoding
+        if path_encoding == "compressed":
             # Rank symbol first: the decoder must identify the receiver
             # before attributing the following count symbol to a link.
             rank = self.path_model.rank(sender_id, receiver_id)
-            annotation.encoder.encode_symbol(self.path_model.table, rank)
-        # Encoder-side lookups: nodes keep the last model they received,
-        # so these also see epochs the sink's decode window already evicted.
-        symbol_set = self.models.encoder_symbol_set_for(annotation.epoch)
-        count = min(retx_count, symbol_set.max_count)
-        encoded = symbol_set.to_symbol(count)
-        table = self.models.encoder_table_for_link(
-            annotation.epoch, (sender_id, receiver_id)
-        )
-        annotation.encoder.encode_symbol(table, encoded.symbol)
-        annotation.symbols.append(encoded.symbol)
-        if encoded.escape_extra is not None and self.config.escape_mode == "exact":
+            encoder.encode_symbol(self.path_model.table, rank)
+        model = annotation.model
+        symbol_set = model.symbol_set
+        symbol, escape_extra = symbol_set.to_symbol(min(retx_count, symbol_set.max_count))
+        table = model.tables[model.class_map.get((sender_id, receiver_id), 0)]
+        encoder.encode_symbol(table, symbol)
+        annotation.symbols.append(symbol)
+        if escape_extra is not None and self.config.escape_mode == "exact":
             # Bypass-code the gamma bits of the extra into the same stream.
             gamma_bits = BitWriter()
-            _GAMMA.encode_value(gamma_bits, encoded.escape_extra)
+            _GAMMA.encode_value(gamma_bits, escape_extra)
             for bit in gamma_bits.to_bits():
-                annotation.encoder.encode_symbol(BYPASS_MODEL, bit)
-        if self.config.path_encoding == "explicit":
+                encoder.encode_symbol(BYPASS_MODEL, bit)
+        if path_encoding == "explicit":
             annotation.path_ids.append(receiver_id)
 
     # -- wire size / serialization ---------------------------------------------------
@@ -165,8 +167,7 @@ class AnnotationCodec:
         if self.config.path_encoding == "explicit":
             for node_id in annotation.path_ids:
                 out.write_uint(node_id, self.node_id_bits)
-        # Copy the arithmetic payload bit-exactly; it runs to the end.
-        for i in range(arith_bits):
-            byte = arith_data[i // 8]
-            out.write_bit((byte >> (7 - (i % 8))) & 1)
+        # Splice the arithmetic payload in whole; it runs to the end.
+        payload = int.from_bytes(arith_data, "big") >> (-arith_bits & 7)
+        out.write_uint(payload, arith_bits)
         return out.getvalue(), out.bit_length

@@ -31,9 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.coding.arithmetic import ArithmeticDecoder
 from repro.coding.baseline_codes import EliasGammaCode
-from repro.coding.bitio import BitReader, BitWriter
+from repro.coding.bitio import BitReader
 from repro.core.annotation import BYPASS_MODEL, AnnotationCodec
-from repro.core.symbols import SymbolSet
 
 __all__ = [
     "AnnotationDecodeError",
@@ -162,7 +161,7 @@ def decode_annotation(
         ) from exc
     try:
         epoch = models.resolve_epoch_field(epoch_field)
-        models.table(epoch)  # raises if the epoch's tables expired
+        model = models.epoch_model(epoch)
     except KeyError as exc:
         raise AnnotationDecodeError(str(exc), cause="unknown_epoch") from exc
 
@@ -182,9 +181,13 @@ def decode_annotation(
             raise AnnotationDecodeError(
                 "annotation truncated inside path section", cause="truncated"
             )
+        id_bits = codec.node_id_bits
+        ids = reader.read_uint(hop_count * id_bits)
+        mask = (1 << id_bits) - 1
         path = [origin]
-        for _ in range(hop_count):
-            path.append(reader.read_uint(codec.node_id_bits))
+        path.extend(
+            (ids >> (id_bits * i)) & mask for i in range(hop_count - 1, -1, -1)
+        )
     elif mode == "assumed":
         if assumed_path is None:
             raise AnnotationDecodeError(
@@ -200,11 +203,10 @@ def decode_annotation(
         path = [origin]
 
     # Arithmetic section: everything that remains.
-    payload = BitWriter()
-    while reader.bits_remaining > 0:
-        payload.write_bit(reader.read_bit())
-    arith = ArithmeticDecoder(payload.getvalue(), payload.bit_length)
-    symbol_set: SymbolSet = models.symbol_set_for(epoch)
+    arith = ArithmeticDecoder.from_reader(reader)
+    symbol_set = model.symbol_set
+    tables = model.tables
+    class_map = model.class_map
 
     hops: List[DecodedHop] = []
     symbols: List[int] = []
@@ -226,11 +228,7 @@ def decode_annotation(
             except ValueError as exc:
                 raise fail(str(exc), "inconsistent_path") from exc
         link = (path[i], path[i + 1])
-        try:
-            table = models.table_for_link(epoch, link)
-        except KeyError as exc:  # pragma: no cover - epoch checked above
-            raise fail(str(exc), "unknown_epoch") from exc
-        symbol = arith.decode_symbol(table)
+        symbol = arith.decode_symbol(tables[class_map.get(link, 0)])
         if not 0 <= symbol < symbol_set.num_symbols:
             raise fail("decoded symbol out of alphabet", "corrupt_symbol")
         symbols.append(symbol)

@@ -37,15 +37,29 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.coding.freq import FrequencyTable
 from repro.core.symbols import SymbolSet
 from repro.utils.validation import check_positive, check_probability
 
-__all__ = ["ModelManager", "geometric_symbol_probabilities"]
+__all__ = ["EpochModel", "ModelManager", "geometric_symbol_probabilities"]
 
 Link = Tuple[int, int]
+
+
+class EpochModel(NamedTuple):
+    """Everything a hop of one epoch is coded against.
+
+    Epochs are frozen once published, so an encoder or the decoder can
+    look this up once per packet and reuse it for every hop.
+    """
+
+    symbol_set: SymbolSet
+    #: One table per link-quality class.
+    tables: List[FrequencyTable]
+    #: Directed link -> class id (missing = class 0).
+    class_map: Dict[Link, int]
 
 
 def geometric_symbol_probabilities(
@@ -201,6 +215,16 @@ class ModelManager:
             raise KeyError(f"model epoch {epoch} not available")
         return self._symbol_sets[epoch]
 
+    def epoch_model(self, epoch: int) -> EpochModel:
+        """Decode side: ``epoch``'s model. KeyError if the sink expired it."""
+        if epoch not in self._tables:
+            raise KeyError(
+                f"model epoch {epoch} not available (have {sorted(self._tables)})"
+            )
+        return EpochModel(
+            self._symbol_sets[epoch], self._tables[epoch], self._class_maps[epoch]
+        )
+
     # -- per-node epochs (lossy dissemination) -------------------------------------
 
     @property
@@ -244,31 +268,23 @@ class ModelManager:
             return []
         return sorted(n for n, e in self._node_epoch.items() if e < epoch)
 
-    def encoder_symbol_set_for(self, epoch: int) -> SymbolSet:
-        """Like :meth:`symbol_set_for`, but also sees archived epochs."""
-        got = self._symbol_sets.get(epoch)
-        if got is None:
-            got = self._archive_symbol_sets.get(epoch)
-        if got is None:
-            raise KeyError(f"model epoch {epoch} unknown to any encoder")
-        return got
-
-    def encoder_table_for_link(self, epoch: int, link: Link) -> FrequencyTable:
-        """Like :meth:`table_for_link`, but also sees archived epochs.
+    def encoder_epoch_model(self, epoch: int) -> EpochModel:
+        """Like :meth:`epoch_model`, but also sees archived epochs.
 
         A node pinned to an epoch the sink already expired still holds
         its own copy of that epoch's tables — it encodes consistently;
         whether the *sink* can decode is a separate question answered by
         the (history-window-limited) decode-side lookups.
         """
-        tables = self._tables.get(epoch)
-        class_map = self._class_maps.get(epoch)
-        if tables is None:
-            tables = self._archive_tables.get(epoch)
-            class_map = self._archive_class_maps.get(epoch, {})
-        if tables is None:
+        if epoch in self._tables:
+            return self.epoch_model(epoch)
+        if epoch not in self._archive_tables:
             raise KeyError(f"model epoch {epoch} unknown to any encoder")
-        return tables[(class_map or {}).get(link, 0)]
+        return EpochModel(
+            self._archive_symbol_sets[epoch],
+            self._archive_tables[epoch],
+            self._archive_class_maps[epoch],
+        )
 
     @property
     def epoch_field_bits(self) -> int:

@@ -12,14 +12,12 @@ extension bits at a small accuracy cost; see the F3 ablation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 __all__ = ["SymbolSet", "EncodedCount"]
 
 
-@dataclass(frozen=True)
-class EncodedCount:
+class EncodedCount(NamedTuple):
     """A retransmission count mapped into the symbol alphabet."""
 
     symbol: int
@@ -84,8 +82,8 @@ class SymbolSet:
             )
         k = self.aggregation_threshold
         if k is None or count < k:
-            return EncodedCount(symbol=count, escape_extra=None)
-        return EncodedCount(symbol=k, escape_extra=count - k)
+            return EncodedCount(count, None)
+        return EncodedCount(k, count - k)
 
     def from_symbol(self, symbol: int, escape_extra: Optional[int] = None) -> int:
         """Invert :meth:`to_symbol`. ``escape_extra`` required for the escape."""

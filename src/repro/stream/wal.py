@@ -7,14 +7,26 @@ sequence number", and the final estimates are field-identical to a run
 that never crashed (the property ``tests/stream/test_crash_recovery.py``
 pins).
 
-Each line is self-checking JSON in exactly one form::
+Each line is self-checking JSON, written in one form (version 2)::
+
+    {"crc":<crc32 of the rest of the line>,"rec":<record JSON>,"seq":<seq>,"v":2}
+
+with the record JSON canonical (sorted keys, compact), ``seq`` the
+1-based shard-local sequence, and the CRC taken over every byte after
+the ``crc`` field's comma — the record, the sequence number and the
+version, as stored. The reader checks the CRC over those bytes and
+parses just the ``rec`` bytes, so a line is parsed once and never
+re-serialized. It also accepts the exact version-1 form, whose CRC
+covers the ``rec`` bytes only, so spools written before the upgrade
+replay::
 
     {"crc":<crc32 of the rec bytes>,"rec":<record JSON>,"seq":<seq>}
 
-with the record JSON canonical (sorted keys, compact) and ``seq`` the
-1-based shard-local sequence. The reader accepts that form only: it
-checks the CRC over the ``rec`` bytes as stored and parses just those
-bytes, so a line is parsed once and never re-serialized.
+In a version-1 line a rewritten ``seq`` digit reads as another valid
+entry (and a resume's :meth:`WriteAheadLog.drop_after` would then drop
+a record the manifest counts as consumed); in a version-2 line it
+fails the CRC. A spool may hold version-1 lines followed by version-2
+ones: a resume appends to the spool it finds.
 
 **Group commit.** Inside :meth:`WriteAheadLog.group`, :meth:`append`
 only encodes and buffers its line; when the block exits, the buffered
@@ -69,22 +81,33 @@ def _encode_line(seq: int, record: PacketRecord) -> str:
     # line is built around it with the envelope's keys in sorted order:
     # byte-identical to dumping the whole envelope with sort_keys=True.
     rec = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(rec.encode("utf-8")) & 0xFFFFFFFF
-    return f'{{"crc":{crc},"rec":{rec},"seq":{seq}}}'
+    checked = f'"rec":{rec},"seq":{seq},"v":2}}'
+    crc = zlib.crc32(checked.encode("utf-8"))
+    return f'{{"crc":{crc},{checked}'
 
 
-#: The one form :func:`_encode_line` writes: crc, record JSON, seq.
-_LINE = re.compile(r'\{"crc":(0|[1-9][0-9]*),"rec":(.*),"seq":([1-9][0-9]*)\}')
+#: The form :func:`_encode_line` writes: crc, then the bytes it covers
+#: (record JSON, seq, version).
+_LINE_V2 = re.compile(
+    r'\{"crc":(0|[1-9][0-9]*),("rec":(.*),"seq":([1-9][0-9]*),"v":2\})'
+)
+#: The version-1 form: crc of the record JSON, record JSON, seq.
+_LINE_V1 = re.compile(r'\{"crc":(0|[1-9][0-9]*),"rec":(.*),"seq":([1-9][0-9]*)\}')
 
 
 def _decode_line(line: str) -> Tuple[int, PacketRecord]:
     """Parse one spool line; raises ``ValueError`` on any damage."""
-    match = _LINE.fullmatch(line)
-    if match is None:
-        raise ValueError("WAL line is not in the form the writer emits")
-    crc, rec, seq = match.groups()
-    if zlib.crc32(rec.encode("utf-8")) != int(crc):
-        raise ValueError("WAL record failed its CRC")
+    match = _LINE_V2.fullmatch(line)
+    if match is not None:
+        crc, checked, rec, seq = match.groups()
+    else:
+        match = _LINE_V1.fullmatch(line)
+        if match is None:
+            raise ValueError("WAL line is not in a form the writer emits")
+        crc, rec, seq = match.groups()
+        checked = rec
+    if zlib.crc32(checked.encode("utf-8")) != int(crc):
+        raise ValueError("WAL line failed its CRC")
     return int(seq), record_from_dict(json.loads(rec))
 
 

@@ -101,8 +101,11 @@ class TestModelManagerPerNodeEpochs:
         with pytest.raises(KeyError):
             mm.table(0)
         # ...but the stuck encoder still sees its own copy.
-        assert mm.encoder_symbol_set_for(0) is not None
-        assert mm.encoder_table_for_link(0, (1, 0)) is not None
+        with pytest.raises(KeyError):
+            mm.epoch_model(0)
+        model = mm.encoder_epoch_model(0)
+        assert model.symbol_set == ss
+        assert len(model.tables) == mm.num_classes
 
 
 class TestRepairConvergence:

@@ -215,15 +215,24 @@ class TestWriteAheadLog:
         assert not store.exists("s.wal")
 
 
+def compact(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def reference_line(seq, record):
-    """A spool line in its first form: the envelope dumped, loaded, dumped."""
-    rec = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+    """A version-2 spool line: the envelope dumped, loaded, dumped, with the
+    CRC over every byte after the ``crc`` field."""
+    rec = json.loads(compact(record_to_dict(record)))
+    checked = compact({"rec": rec, "seq": seq, "v": 2})[1:]
+    crc = zlib.crc32(checked.encode("utf-8"))
+    return compact({"seq": seq, "crc": crc, "rec": rec, "v": 2})
+
+
+def reference_line_v1(seq, record):
+    """A spool line in its first form, the CRC over the record JSON only."""
+    rec = compact(record_to_dict(record))
     crc = zlib.crc32(rec.encode("utf-8")) & 0xFFFFFFFF
-    return json.dumps(
-        {"seq": seq, "crc": crc, "rec": json.loads(rec)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return compact({"seq": seq, "crc": crc, "rec": json.loads(rec)})
 
 
 any_record = st.builds(
@@ -251,8 +260,8 @@ any_record = st.builds(
 @example(seq=1, record=rec(1, -math.inf))
 @example(seq=1, record=rec(1, math.nan))
 def test_wal_line_is_byte_identical_to_the_reference_encoding(seq, record):
-    # Spools written before lines were built around the record JSON must
-    # still replay, and new spools must read the same to older code.
+    # New spools read the same to any reader of the version-2 envelope,
+    # which is plain canonical JSON.
     assert _encode_line(seq, record) == reference_line(seq, record)
 
 
@@ -261,21 +270,24 @@ def test_wal_line_is_byte_identical_to_the_reference_encoding(seq, record):
 @example(seq=1, record=rec(1, math.nan))
 @example(seq=1, record=rec(1, -0.0))
 def test_wal_line_decodes_to_what_was_encoded(seq, record):
-    got_seq, got = _decode_line(_encode_line(seq, record))
-    assert got_seq == seq
-    # repr, not ==, so that NaN matches itself and -0.0 is told from 0.0.
-    assert repr(record_to_dict(got)) == repr(record_to_dict(record))
+    for line in (_encode_line(seq, record), reference_line_v1(seq, record)):
+        got_seq, got = _decode_line(line)
+        assert got_seq == seq
+        # repr, not ==, so that NaN matches itself and -0.0 is told from 0.0.
+        assert repr(record_to_dict(got)) == repr(record_to_dict(record))
 
 
 def field_spans(line):
-    """``{field: (start, end)}`` of the crc, rec and seq values in a line."""
-    rec_key, seq_key = ',"rec":', ',"seq":'
+    """``{field: (start, end)}`` of the crc, rec, seq and version values."""
+    rec_key, seq_key, v_key = ',"rec":', ',"seq":', ',"v":'
     crc_end = line.index(rec_key)
     seq_at = line.rindex(seq_key)
+    v_at = line.rindex(v_key)
     return {
         "crc": (len('{"crc":'), crc_end),
         "rec": (crc_end + len(rec_key), seq_at),
-        "seq": (seq_at + len(seq_key), len(line) - 1),
+        "seq": (seq_at + len(seq_key), v_at),
+        "v": (v_at + len(v_key), len(line) - 1),
     }
 
 
@@ -286,26 +298,113 @@ def field_spans(line):
     data=st.data(),
 )
 def test_changing_a_byte_of_a_wal_line_is_rejected(seq, record, data):
-    """A one-byte change in the crc or rec value always fails the CRC or
-    the line form. The seq value is outside the CRC (the line format is
-    pinned to the older spools'), so only a change that breaks its
-    digits is rejected: a digit rewritten to another digit gives another
-    well-formed line."""
+    """A one-byte change in the crc, rec, seq or version value always fails
+    the CRC or the line form: a seq digit rewritten to another digit too,
+    since the version-2 CRC covers the sequence number."""
     line = _encode_line(seq, record)
-    field = data.draw(st.sampled_from(["crc", "rec", "seq"]))
+    field = data.draw(st.sampled_from(["crc", "rec", "seq", "v"]))
     start, end = field_spans(line)[field]
     i = data.draw(st.integers(min_value=start, max_value=end - 1))
     byte = st.characters(max_codepoint=127)
-    if field == "seq":
-        byte = byte.filter(lambda c: not c.isdigit())
     new = data.draw(byte.filter(lambda c: c != line[i]))
     with pytest.raises(ValueError):
         _decode_line(line[:i] + new + line[i + 1 :])
 
 
+def test_a_rewritten_seq_digit_fails_the_crc():
+    line = _encode_line(5, rec(5))
+    with pytest.raises(ValueError, match="CRC"):
+        _decode_line(line.replace('"seq":5', '"seq":9'))
+    # The version-1 form cannot tell: its CRC covers the record only.
+    old = reference_line_v1(5, rec(5)).replace('"seq":5', '"seq":9')
+    assert _decode_line(old) == (9, rec(5))
+
+
+@pytest.mark.parametrize("store_kind", ["memory", "directory"])
+class TestSpoolVersions:
+    """Spools written with version-1 lines replay, alone or continued."""
+
+    def make_store(self, store_kind, tmp_path):
+        return MemoryStore() if store_kind == "memory" else DirectoryStore(tmp_path)
+
+    def test_a_rewritten_seq_is_never_replayed(self, store_kind, tmp_path):
+        # Five lines whose last ``"seq":5`` is rewritten to 9: the line
+        # fails its CRC, so it is a torn tail, not entry 9, and a
+        # resume's cut at 5 does not drop it as an entry past the cut.
+        store = self.make_store(store_kind, tmp_path)
+        wal = WriteAheadLog(store, "s.wal")
+        with wal.group():
+            for i in range(1, 6):
+                wal.append(i, rec(i))
+        blob = store.read("s.wal")
+        assert blob.count(b'"seq":5,') == 1
+        store.write_atomic("s.wal", blob.replace(b'"seq":5,', b'"seq":9,'))
+        reader = WriteAheadLog(store, "s.wal")
+        assert [seq for seq, _ in reader.replay(0)] == [1, 2, 3, 4]
+        assert reader.torn_tail_dropped == 1
+        # The same rewrite on a line with lines after it is storage damage.
+        store.write_atomic("s.wal", blob.replace(b'"seq":3,', b'"seq":7,'))
+        with pytest.raises(WalError):
+            list(WriteAheadLog(store, "s.wal").replay(0))
+
+    def test_a_version_1_spool_replays(self, store_kind, tmp_path):
+        store = self.make_store(store_kind, tmp_path)
+        lines = [reference_line_v1(i, rec(i, created_at=float(i))) for i in range(1, 5)]
+        store.append_lines("s.wal", lines)
+        wal = WriteAheadLog(store, "s.wal")
+        assert list(wal.replay(1)) == [(i, rec(i, created_at=float(i))) for i in range(2, 5)]
+        assert wal.torn_tail_dropped == 0
+
+    def test_a_version_1_prefix_with_a_version_2_tail_replays(self, store_kind, tmp_path):
+        # A resume across the upgrade appends version-2 lines to the
+        # version-1 spool it finds, and cuts it back with version-2 lines.
+        store = self.make_store(store_kind, tmp_path)
+        store.append_lines("s.wal", [reference_line_v1(i, rec(i)) for i in range(1, 4)])
+        wal = WriteAheadLog(store, "s.wal")
+        assert wal.drop_after(3) == 0
+        with wal.group():
+            wal.append(4, rec(4))
+            wal.append(5, rec(5))
+        assert list(WriteAheadLog(store, "s.wal").replay(0)) == [
+            (i, rec(i)) for i in range(1, 6)
+        ]
+        assert wal.drop_after(4) == 1
+        assert store.read("s.wal").decode().splitlines() == [
+            _encode_line(i, rec(i)) for i in range(1, 5)
+        ]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_a_torn_version_2_group_after_a_version_1_prefix(self, store_kind, tmp_path, k):
+        # The process dies inside the first group it appends after the
+        # upgrade: k complete version-2 lines, then part of line k+1.
+        store = self.make_store(store_kind, tmp_path)
+        store.append_lines("s.wal", [reference_line_v1(i, rec(i)) for i in range(1, 4)])
+        group = [_encode_line(i, rec(i)) for i in range(4, 7)]
+        torn = "\n".join(group[:k] + [group[k][: len(group[k]) // 2]])
+        store.write_atomic("s.wal", store.read("s.wal") + torn.encode())
+        wal = WriteAheadLog(store, "s.wal")
+        assert [seq for seq, _ in wal.replay(0)] == list(range(1, 4 + k))
+        assert wal.torn_tail_dropped == 1
+
+
 def test_only_the_writers_exact_form_is_accepted():
     record = rec(3)
     rec_json = json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+    checked = f'"rec":{rec_json},"seq":3,"v":2}}'
+    crc2 = zlib.crc32(checked.encode("utf-8"))
+    assert _decode_line(f'{{"crc":{crc2},{checked}') == (3, record)
+    for variant in (
+        f'{{"crc":{crc2}, {checked}',  # added space
+        f'{{"crc":{crc2},{checked} ',
+        f'{{"crc":{crc2},{checked[:-1]},"x":1}}',
+        f'{{"crc":{crc2},{checked[:-2]}3}}',  # another version
+        f'{{"crc":{crc2},{checked[:-7]}}}',  # version dropped: a v1 line
+        f'{{"crc":0{crc2},{checked}',
+        f'{{"v":2,"crc":{crc2},{checked[:-7]}}}',
+    ):
+        with pytest.raises(ValueError):
+            _decode_line(variant)
+    # The version-1 form, CRC over the record JSON only, still replays.
     crc = zlib.crc32(rec_json.encode("utf-8"))
     assert _decode_line(f'{{"crc":{crc},"rec":{rec_json},"seq":3}}') == (3, record)
     for envelope in (
