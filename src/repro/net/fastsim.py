@@ -58,9 +58,8 @@ trick below is therefore paired with the argument for exactness:
   the pair in exactly the order ``sample`` draws them (transition
   first, then loss in the post-transition state) and mutates the same
   chain state object — so the per-edge stream position *and* the chain
-  state match the oracle after every exchange. The fast path is gated
-  by ``ge_chain_replay`` so the exact-scalar fallback stays reachable
-  as a differential control.
+  state match the oracle after every exchange. The exact scalar control
+  for these edges is the event engine's :class:`~repro.net.mac.ArqMac`.
 * Models that are neither threshold-shaped nor chain-replayable, and
   every edge when ``ack_losses=True`` makes ACK frames traverse the
   lossy reverse link, fall back to the exact scalar path per edge; the
@@ -154,20 +153,13 @@ class FastArqMac:
     :meth:`Channel.record_batch` call per exchange. Models that instead
     declare :attr:`LinkModel.chain_replayable` (Gilbert–Elliott) are
     replayed two buffered uniforms per attempt through the model's
-    ``chain_step``, mutating the live chain state in oracle order; the
-    ``ge_chain_replay`` flag forces those edges back onto the exact
-    scalar path for differential control runs. Everything else — and
-    every edge when ACK frames traverse the lossy reverse link — runs
-    the exact scalar oracle.
+    ``chain_step``, mutating the live chain state in oracle order; their
+    exact scalar control is the event engine's ``ArqMac``. Everything
+    else — and every edge when ACK frames traverse the lossy reverse
+    link — runs the exact scalar oracle.
     """
 
-    def __init__(
-        self,
-        channel: Channel,
-        config: Optional[MacConfig] = None,
-        *,
-        ge_chain_replay: bool = True,
-    ):
+    def __init__(self, channel: Channel, config: Optional[MacConfig] = None):
         self.channel = channel
         self.config = config or MacConfig()
         self._exact = ArqMac(channel, self.config)
@@ -185,7 +177,6 @@ class FastArqMac:
         # model type and each lazy classification costs one dict probe.
         self._plans: Dict[Tuple[int, int], Optional[_EdgePlan]] = {}
         self._buffered = not self.config.ack_losses
-        self._ge_chain_replay = ge_chain_replay
         self._kind_by_type: Dict[type, int] = {}
 
     _EXACT, _THRESHOLD, _CHAIN = 0, 1, 2
@@ -217,7 +208,7 @@ class FastArqMac:
                     else None
                 )
                 plan = _EdgePlan(model, const)
-            elif kind == self._CHAIN and self._ge_chain_replay:
+            elif kind == self._CHAIN:
                 plan = _EdgePlan(model, None, chain=True)
         self._plans[(sender, receiver)] = plan
         return plan
@@ -232,14 +223,10 @@ class FastArqMac:
         """
         if not self._buffered:
             return 0
-        count = 0
-        for model in self.channel._models.values():
-            kind = self._model_kind(model)
-            if kind == self._THRESHOLD or (
-                kind == self._CHAIN and self._ge_chain_replay
-            ):
-                count += 1
-        return count
+        return sum(
+            self._model_kind(model) != self._EXACT
+            for model in self.channel._models.values()
+        )
 
     def send(self, sender: int, receiver: int, start_time: float) -> MacResult:
         """Run one full ARQ exchange; bit-identical to the oracle's."""

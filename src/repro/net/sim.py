@@ -12,7 +12,8 @@ The queue is pluggable: the default is the reference
 which event fires next — only how much the queue costs.
 
 Two small facilities exist for the array engine's batched forwarding
-path (``SimulationConfig.batch_forwarding``):
+path (``CollectionSimulation._forward_batched``, taken whenever
+``forward_delay > 0``):
 
 * **The next-event horizon** (:meth:`peek_event_time`): the earliest
   still-pending event's timestamp. A packet's multi-hop journey may be

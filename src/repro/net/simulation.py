@@ -120,28 +120,10 @@ class SimulationConfig:
     #: Simulation kernel: "event" is the reference object-per-event engine,
     #: "array" the vectorized kernel (:mod:`repro.net.fastsim`). The two
     #: produce bit-identical observable streams for identical seeds; the
-    #: event engine is the differential oracle pinning the array one.
+    #: event engine is the differential oracle pinning the array one. With
+    #: ``forward_delay == 0`` the array engine forwards per hop, because
+    #: batching cannot reproduce the equal-time ties a zero delay creates.
     engine: str = "event"
-    #: Array engine only: resolve each packet's multi-hop journey inline
-    #: at wake-up (chained MAC exchanges, TTL/drop handling, observer
-    #: callbacks in oracle order), deferring back to per-hop events
-    #: whenever any state could change mid-journey (any pending event at
-    #: or before the arrival), the next hop is contended (busy radio,
-    #: queued packets), the hop would cross the run horizon, or the next
-    #: link reads lazily-advancing shared state (interference). Requires
-    #: ``forward_delay > 0`` (silently ineffective otherwise; a zero
-    #: delay collapses hop arrivals onto exchange finish times, and the
-    #: resulting equal-time ties are ordered by scheduling sequence,
-    #: which batching does not reproduce).
-    batch_forwarding: bool = True
-    #: Array engine only: maintain routing shortest paths with the
-    #: vectorized tree-seeded Bellman–Ford solver instead of the full
-    #: heap Dijkstra. Bit-identical solutions by construction (see
-    #: :meth:`repro.net.routing.RoutingEngine._solve_spt_incremental`).
-    incremental_spt: bool = True
-    #: Array engine only: replay Gilbert–Elliott chains against buffered
-    #: two-uniform draws instead of the exact scalar fallback.
-    ge_chain_replay: bool = True
     mac: MacConfig = field(default_factory=MacConfig)
     routing: RoutingConfig = field(default_factory=RoutingConfig)
 
@@ -215,11 +197,7 @@ class CollectionSimulation:
             channel = Channel.build(topology, assigner, self.rng)
         self.channel = channel
         use_array = self.config.engine == "array"
-        self._batch = bool(
-            use_array
-            and self.config.batch_forwarding
-            and self.config.forward_delay > 0
-        )
+        self._batch = use_array and self.config.forward_delay > 0
         self.sim = array_simulator() if use_array else Simulator()
         self.routing = RoutingEngine(topology, channel, self.rng, self.config.routing)
         self.mac: Union[ArqMac, FastArqMac] = ArqMac(channel, self.config.mac)
@@ -227,14 +205,9 @@ class CollectionSimulation:
             # Swap the batched hot paths in; all protocol logic below is
             # engine-agnostic, which is what keeps the observable
             # streams bit-identical across engines (see net/fastsim.py).
-            self.mac = FastArqMac(
-                channel,
-                self.config.mac,
-                ge_chain_replay=self.config.ge_chain_replay,
-            )
+            self.mac = FastArqMac(channel, self.config.mac)
             self.routing.set_etx_sampler(VectorizedEtxSampler(self.routing))
-            if self.config.incremental_spt:
-                self.routing.set_spt_mode("incremental")
+            self.routing.set_spt_mode("incremental")
         self.ground_truth = GroundTruth(channel)
         self.observers: List[CollectionObserver] = list(observers)
         self.packets: List[Packet] = []
@@ -420,7 +393,7 @@ class CollectionSimulation:
 
     # -- batched forwarding (array engine) -----------------------------------------
     #
-    # ``batch_forwarding`` replaces the per-hop event cascade with inline
+    # Batched forwarding replaces the per-hop event cascade with inline
     # multi-hop journey resolution at wake-up: one real event runs as many
     # consecutive exchanges as are provably identical to the oracle's —
     # every protocol decision (TTL, routes, liveness, drops, observer

@@ -78,22 +78,6 @@ MATRIX = [
         ).with_config(engine="array"),
         (dophy_approach(), tree_ratio_approach()),
     ),
-    # The array engine's accelerations (batched forwarding, incremental
-    # shortest paths, GE chain replay) are individually switchable; the
-    # all-off configuration must ride the same parallel/cache guarantee
-    # as any other knob combination.
-    (
-        "dynamic_rgg_churn_array_knobs_off",
-        dynamic_rgg_scenario(
-            16, churn_noise=0.6, duration=60.0, traffic_period=4.0
-        ).with_config(
-            engine="array",
-            batch_forwarding=False,
-            incremental_spt=False,
-            ge_chain_replay=False,
-        ),
-        (dophy_approach(), tree_ratio_approach()),
-    ),
 ]
 
 IDS = [m[0] for m in MATRIX]

@@ -73,6 +73,15 @@ MATRIX = [
         {"num_nodes": 16},
         {"traffic_period": 0.5},
     ),
+    # Zero forward delay: hop arrivals tie with exchange finish times,
+    # so the array engine forwards per hop instead of batching; this row
+    # pins that path.
+    (
+        "rgg_zero_forward_delay",
+        dynamic_rgg_scenario,
+        {"num_nodes": 16},
+        {"forward_delay": 0.0},
+    ),
 ]
 
 SEEDS = (13, 1107)
@@ -125,35 +134,6 @@ def _assert_results_identical(event, array):
 def test_engines_bit_identical(factory, kwargs, cfg, seed):
     event, _ = _run(factory, kwargs, "event", seed, cfg=cfg)
     array, _ = _run(factory, kwargs, "array", seed, cfg=cfg)
-    _assert_results_identical(event, array)
-
-
-#: Each array-engine acceleration is independently switchable; with any
-#: one disabled (and with all disabled) the engine must still be the
-#: oracle, bit for bit — a knob may change *speed*, never the stream.
-KNOB_SETS = [
-    {"batch_forwarding": False},
-    {"incremental_spt": False},
-    {"ge_chain_replay": False},
-    {"batch_forwarding": False, "incremental_spt": False, "ge_chain_replay": False},
-]
-
-
-@pytest.mark.parametrize(
-    "knobs", KNOB_SETS, ids=["-".join(k) for k in KNOB_SETS]
-)
-@pytest.mark.parametrize(
-    "factory,kwargs",
-    [
-        (dynamic_rgg_scenario, {"num_nodes": 16}),
-        (bursty_rgg_scenario, {"num_nodes": 12}),
-        (failing_rgg_scenario, {"num_nodes": 14}),
-    ],
-    ids=["rgg_dynamic", "rgg_bursty", "rgg_failures"],
-)
-def test_each_knob_individually_pinned(factory, kwargs, knobs):
-    event, _ = _run(factory, kwargs, "event", 13)
-    array, _ = _run(factory, kwargs, "array", 13, cfg=knobs)
     _assert_results_identical(event, array)
 
 
@@ -216,18 +196,15 @@ def test_fault_injection_identical(seed):
 def test_gilbert_elliott_chain_replay_classification():
     """GE chains are replayed against buffered uniforms (two per attempt,
     in the exact transition-then-loss order the scalar oracle draws), so
-    every GE edge is bufferable by default; with the knob off, FastArqMac
-    must route them all through the scalar fallback."""
-    base = bursty_rgg_scenario(num_nodes=12).with_config(
-        duration=60.0, engine="array"
+    every GE edge is bufferable."""
+    simulation = (
+        bursty_rgg_scenario(num_nodes=12)
+        .with_config(duration=60.0, engine="array")
+        .make_simulation(seed=3)
     )
-    simulation = base.make_simulation(seed=3)
     assert isinstance(simulation.mac, FastArqMac)
     edges = len(list(simulation.topology.directed_edges()))
     assert simulation.mac.bufferable_edges == edges
-    fallback = base.with_config(ge_chain_replay=False).make_simulation(seed=3)
-    assert isinstance(fallback.mac, FastArqMac)
-    assert fallback.mac.bufferable_edges == 0
 
 
 def test_ack_losses_fall_back_entirely():
@@ -276,14 +253,8 @@ def test_batched_pop_profile_fingerprints(seed):
     pop-identical in global mode."""
     with sanitize_run("array-batched") as san_batched:
         _run(dynamic_rgg_scenario, {"num_nodes": 16}, "array", seed)
-    with sanitize_run("array-per-hop") as san_per_hop:
-        _run(
-            dynamic_rgg_scenario,
-            {"num_nodes": 16},
-            "array",
-            seed,
-            cfg={"batch_forwarding": False},
-        )
+    with sanitize_run("event-per-hop") as san_per_hop:
+        _run(dynamic_rgg_scenario, {"num_nodes": 16}, "event", seed)
     fp_batched = san_batched.fingerprint()
     fp_per_hop = san_per_hop.fingerprint()
     assert fp_batched.pop_profile == "batched-forwarding"
@@ -315,11 +286,12 @@ def test_injected_extra_draw_is_named_with_site_and_index(monkeypatch):
             plan.rng.random()  # the smuggled extra draw
         return original_send(self, sender, receiver, start_time)
 
-    # Per-hop forwarding keeps the "event" pop profile, so the final
-    # cross-engine stream diff below still compares pop sequences (the
-    # channel the behaviour shift shows up in: the extra draw changes
-    # attempt counts, hence the event schedule).
-    per_hop = {"batch_forwarding": False}
+    # A zero forward delay makes the array engine forward per hop, which
+    # keeps the "event" pop profile, so the final cross-engine stream
+    # diff below still compares pop sequences (the channel the behaviour
+    # shift shows up in: the extra draw changes attempt counts, hence the
+    # event schedule).
+    per_hop = {"forward_delay": 0.0}
     with sanitize_run("array-clean") as clean:
         _run(dynamic_rgg_scenario, {"num_nodes": 16}, "array", 13, cfg=per_hop)
     monkeypatch.setattr(FastArqMac, "send", tampered_send)
@@ -345,7 +317,7 @@ def test_injected_extra_draw_is_named_with_site_and_index(monkeypatch):
     # The cross-engine (stream-mode) contract breaks too: downstream
     # behaviour shifted, so the matched-value prefix cannot cover both.
     with sanitize_run("event") as san_event:
-        _run(dynamic_rgg_scenario, {"num_nodes": 16}, "event", 13)
+        _run(dynamic_rgg_scenario, {"num_nodes": 16}, "event", 13, cfg=per_hop)
     assert diff_fingerprints(
         san_event.fingerprint(), tampered.fingerprint(), mode="stream"
     ) != []
