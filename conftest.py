@@ -1,5 +1,9 @@
 """Repo-level pytest configuration."""
 
+import os
+
+import pytest
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -9,3 +13,24 @@ def pytest_addoption(parser):
         help="Rewrite the golden-trace fixtures under tests/fixtures/golden/ "
         "from the current code instead of comparing against them.",
     )
+
+
+@pytest.fixture
+def write_order(monkeypatch):
+    """Log ``os.fsync`` and ``os.replace`` calls in order, each tagged
+    with the inode it acts on (a replace by its source file's), so a
+    test can pin the publish order of an atomic write."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events

@@ -65,7 +65,7 @@ class ResultCache:
         except Exception:
             try:
                 path.unlink()
-            except OSError:  # pragma: no cover - cleanup race  # reprolint: disable=RPL009 - cleanup race is benign: the entry is re-deleted on next miss
+            except OSError:  # pragma: no cover - cleanup race is benign: the entry is re-deleted on next miss
                 pass
             return None
 
@@ -93,7 +93,7 @@ class ResultCache:
         except BaseException:
             try:
                 os.unlink(tmp)
-            except OSError:  # reprolint: disable=RPL009 - tmp-file cleanup race; the original exception is re-raised
+            except OSError:  # tmp-file cleanup race; the original exception is re-raised
                 pass
             raise
 
@@ -128,7 +128,7 @@ class ResultCache:
             try:
                 path.unlink()
                 removed += 1
-            except OSError:  # pragma: no cover - concurrent wipe  # reprolint: disable=RPL009 - concurrent wipe already removed it; `removed` stays accurate
+            except OSError:  # pragma: no cover - concurrent wipe already removed it; `removed` stays accurate
                 pass
         return removed
 

@@ -15,8 +15,9 @@ Rules (see DESIGN.md §"Static guarantees" for the full rationale):
   parameter (see :mod:`repro.utils.rng`).
 * **RPL002** — wall-clock/entropy sources (``time.time``,
   ``datetime.now``, ``os.urandom``, ``uuid4``, ...) inside the
-  simulation paths (``core/``, ``net/``, ``workloads/``, ``exec/``).
-  Simulated time is ``sim.now``; host time must never leak into it.
+  simulation paths (``core/``, ``net/``, ``workloads/``, ``exec/``,
+  ``stream/``). Simulated time is ``sim.now``; host time must never
+  leak into it.
 * **RPL003** — lambdas / closures / locally-defined functions handed to
   scenario registries, approach factories, or anything else that
   crosses the :class:`repro.exec.ParallelRunner` process boundary.
@@ -28,35 +29,12 @@ Rules (see DESIGN.md §"Static guarantees" for the full rationale):
   (frozen) dataclass fields: shared mutable state breaks both
   replicate independence and hashability.
 
-The flow-sensitive rules (v2) ride on a project-wide symbol table and
-call graph (:mod:`repro.lint.callgraph`) plus an intraprocedural
-dataflow pass (:mod:`repro.lint.dataflow`) — ``lint_paths`` parses the
-whole invocation into one project, so these see cross-module edges:
-
-* **RPL006** — RNG-stream aliasing: a module-level stream consumed by
-  more than one function couples the consumers' draw orders, so
-  engine/fallback parity cannot hold; derive one substream per
-  consumer (:func:`repro.utils.rng.derive_rng`).
-* **RPL007** — RNG draws or float accumulation inside iteration over an
-  unordered value (``set``/``frozenset``/``dict.keys``), including
-  unordered arguments passed — possibly from another file — to a
-  function whose parameter is iterated while drawing.
-* **RPL008** — durability-effect ordering in ``stream/``: the WAL
-  append must dominate the estimator apply, and the manifest write must
-  dominate the checkpoint write it indexes.
-* **RPL009** — ``except`` handlers in ``stream/``/``exec`` paths that
-  swallow evidence without counting it: accounting (drop stats, retry
-  budgets, WAL replay) must balance.
-* **RPL010** — cache write discipline in cache paths
-  (``exec/cache.py``): the ``fsync`` must dominate the
-  ``os.replace``/``os.rename`` that publishes an entry, and entries are
-  immutable once published — no append or read-modify-write ``open``
-  modes.
-
-Every RPL006–009 fixture has a runtime twin: the sanitizer
-(:mod:`repro.sanitize`, ``REPRO_SANITIZE=1``) catches the same
-violation as a divergent fingerprint or broken effect protocol when the
-fixture actually runs (``tests/sanitize/test_rule_runtime_pin.py``).
+Every rule is per-file and syntactic. Defect classes a single file
+cannot show (one RNG stream shared by two consumers, draws under
+unordered iteration, WAL/manifest effect order, swallowed evidence,
+cache write order) are pinned at runtime instead: by the sanitizer
+(:mod:`repro.sanitize`, ``REPRO_SANITIZE=1``) and by the stream and
+cache tests (DESIGN.md §13).
 
 Violations are suppressible per line::
 

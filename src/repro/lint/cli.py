@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="reprolint: static determinism/picklability checks "
-        "(rules RPL001-RPL010; see DESIGN.md §'Static guarantees').",
+        "(rules RPL001-RPL005; see DESIGN.md §'Static guarantees').",
     )
     parser.add_argument(
         "paths",

@@ -1,13 +1,8 @@
 """File walking, suppression handling and rule dispatch for reprolint.
 
-Since the flow rules (RPL006–009) need a whole-program view, linting is
-a two-phase pass: every file is parsed once into a
-:class:`~repro.lint.callgraph.Project` (symbol tables + call graph),
-then each module is checked by every rule with the project attached to
-its :class:`~repro.lint.rules.LintContext`.  Single-source entry points
-(``lint_source``/``lint_file``) build a one-module project, so fixtures
-and editor integrations keep working unchanged — cross-module facts are
-simply absent.
+Every rule is per-file and syntactic, so linting is one pass per file:
+parse, build the :class:`~repro.lint.rules.LintContext`, run each rule
+and drop the findings a pragma suppresses.
 
 Suppressions are pragma comments, parsed from real COMMENT tokens (via
 :mod:`tokenize`) so the marker text inside a string literal never
@@ -32,7 +27,6 @@ import tokenize
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.callgraph import ModuleInfo, Project
 from repro.lint.rules import ALL_RULES, SIM_PATH_SEGMENTS, LintContext
 from repro.lint.violation import Violation
 
@@ -127,38 +121,6 @@ def default_sim_path(path: Union[str, Path]) -> bool:
     return not SIM_PATH_SEGMENTS.isdisjoint(Path(path).parts)
 
 
-def _parse(source: str, path: str) -> ast.Module:
-    try:
-        return ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        raise LintError(f"{path}: cannot parse: {exc.msg} (line {exc.lineno})") from exc
-
-
-def _lint_module(
-    project: Project,
-    module: ModuleInfo,
-    *,
-    in_sim_path: Optional[bool] = None,
-) -> List[Violation]:
-    if in_sim_path is None:
-        in_sim_path = default_sim_path(module.path)
-    ctx = LintContext(
-        path=module.path,
-        in_sim_path=in_sim_path,
-        project=project,
-        module=module,
-    )
-    suppressed = _suppressions(module.source, module.tree)
-    found: List[Violation] = []
-    for rule_cls in ALL_RULES:
-        for violation in rule_cls().check(module.tree, ctx):
-            rules_off = suppressed.get(violation.line, ())
-            if _ALL in rules_off or violation.rule in rules_off:
-                continue
-            found.append(violation)
-    return sorted(found)
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -168,14 +130,24 @@ def lint_source(
     """Lint one module's source text; returns sorted violations.
 
     ``in_sim_path`` defaults to a path-segment check (``core``, ``net``,
-    ``workloads``, ``exec`` or ``stream`` anywhere in the path). The
-    module is linted as a one-file project: flow rules see its own
-    symbols but no cross-module facts.
+    ``workloads``, ``exec`` or ``stream`` anywhere in the path).
     """
-    tree = _parse(source, path)
-    project = Project.build([(path, source, tree)])
-    module = next(iter(project.modules.values()))
-    return _lint_module(project, module, in_sim_path=in_sim_path)
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise LintError(f"{path}: cannot parse: {exc.msg} (line {exc.lineno})") from exc
+    if in_sim_path is None:
+        in_sim_path = default_sim_path(path)
+    ctx = LintContext(path=path, in_sim_path=in_sim_path)
+    suppressed = _suppressions(source, tree)
+    found: List[Violation] = []
+    for rule_cls in ALL_RULES:
+        for violation in rule_cls().check(tree, ctx):
+            rules_off = suppressed.get(violation.line, ())
+            if _ALL in rules_off or violation.rule in rules_off:
+                continue
+            found.append(violation)
+    return sorted(found)
 
 
 def lint_file(path: Union[str, Path], display: Optional[str] = None) -> List[Violation]:
@@ -208,21 +180,10 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterable[Path]:
 
 
 def lint_paths(paths: Sequence[Union[str, Path]]) -> Tuple[List[Violation], int]:
-    """Lint every ``.py`` under ``paths``; returns (violations, files seen).
-
-    All files are parsed into one :class:`Project` first, so the flow
-    rules see cross-module call edges and global reads across the whole
-    invocation.
-    """
-    sources: List[Tuple[str, str, ast.Module]] = []
-    for file_path in iter_python_files(paths):
-        try:
-            text = file_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise LintError(f"{file_path}: cannot read: {exc}") from exc
-        sources.append((str(file_path), text, _parse(text, str(file_path))))
-    project = Project.build(sources)
+    """Lint every ``.py`` under ``paths``; returns (violations, files seen)."""
     violations: List[Violation] = []
-    for module in project.modules.values():
-        violations.extend(_lint_module(project, module))
-    return sorted(violations), len(sources)
+    files = 0
+    for file_path in iter_python_files(paths):
+        violations.extend(lint_file(file_path))
+        files += 1
+    return sorted(violations), files

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.lint.violation import Violation
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.lint.callgraph import ModuleInfo, Project
 
 __all__ = ["ALL_RULES", "RULE_DOCS", "LintContext", "Rule"]
 
@@ -97,17 +94,10 @@ _MUTABLE_CTORS = frozenset({"list", "dict", "set", "bytearray", "defaultdict",
 
 @dataclass
 class LintContext:
-    """Where a module lives, and what that implies for scoped rules.
-
-    ``project``/``module`` carry the whole-program view the flow rules
-    (RPL006–009) need; the engine always populates them, but rules must
-    degrade to silence when invoked standalone without one.
-    """
+    """Where a module lives, and what that implies for scoped rules."""
 
     path: str
     in_sim_path: bool = False
-    project: Optional["Project"] = None
-    module: Optional["ModuleInfo"] = None
 
 
 @dataclass
@@ -279,8 +269,9 @@ class WallClockRule(Rule):
     Simulated time is ``sim.now``; anything derived from the host clock
     (or OS entropy) differs run to run and poisons traces, cache keys
     and golden outputs. Only enforced under ``core/``, ``net/``,
-    ``workloads/`` and ``exec/`` — benches may legitimately time
-    themselves (and suppress the one line that does).
+    ``workloads/``, ``exec/`` and ``stream/`` (:data:`SIM_PATH_SEGMENTS`)
+    — benches may legitimately time themselves (and suppress the one
+    line that does).
     """
 
     rule_id = "RPL002"
@@ -629,8 +620,7 @@ class MutableDefaultRule(Rule):
         return False
 
 
-#: The per-file syntactic rules defined in this module.
-SYNTACTIC_RULES: Tuple[Type[Rule], ...] = (
+ALL_RULES: Tuple[Type[Rule], ...] = (
     GlobalRngRule,
     WallClockRule,
     UnpicklableCallableRule,
@@ -638,40 +628,4 @@ SYNTACTIC_RULES: Tuple[Type[Rule], ...] = (
     MutableDefaultRule,
 )
 
-
-def _assemble_rules() -> Tuple[Type[Rule], ...]:
-    # Imported lazily: flow_rules subclasses Rule and uses LintContext,
-    # so a module-level import here would be circular.
-    from repro.lint.flow_rules import (
-        CacheWriteDisciplineRule,
-        EffectOrderRule,
-        RngAliasRule,
-        SwallowedEvidenceRule,
-        UnorderedRngFlowRule,
-    )
-
-    return SYNTACTIC_RULES + (
-        RngAliasRule,
-        UnorderedRngFlowRule,
-        EffectOrderRule,
-        SwallowedEvidenceRule,
-        CacheWriteDisciplineRule,
-    )
-
-
-if TYPE_CHECKING:  # pragma: no cover - the lazy __getattr__ serves these
-    ALL_RULES: Tuple[Type[Rule], ...]
-    RULE_DOCS: Dict[str, str]
-
-
-def __getattr__(name: str) -> object:
-    """Lazy ``ALL_RULES``/``RULE_DOCS`` (PEP 562), cached after first use."""
-    if name == "ALL_RULES":
-        rules = _assemble_rules()
-        globals()["ALL_RULES"] = rules
-        return rules
-    if name == "RULE_DOCS":
-        docs = {r.rule_id: r.summary for r in _assemble_rules()}
-        globals()["RULE_DOCS"] = docs
-        return docs
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+RULE_DOCS: Dict[str, str] = {rule.rule_id: rule.summary for rule in ALL_RULES}

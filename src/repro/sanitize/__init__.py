@@ -1,10 +1,13 @@
 """Runtime RNG/ordering sanitizer — the dynamic half of reprolint.
 
-The static rules (RPL001–RPL010) flag code *shapes* that can break
-determinism; this package observes the *run* itself. With a sanitizer
-active, every seeded RNG stream is wrapped in a recording proxy at
-creation, the simulator logs its event-queue pop order, and the
-streaming sink logs its durability effects. The resulting
+The static rules (RPL001–RPL005) flag per-file code *shapes* that can
+break determinism; this package observes the *run* itself, and so pins
+the defect classes no single file shows (a stream shared by two
+consumers, draws under unordered iteration, durability effects out of
+order — DESIGN.md §13). With a sanitizer active, every seeded RNG
+stream is wrapped in a recording proxy at creation, the simulator logs
+its event-queue pop order, and the streaming sink logs its durability
+effects. The resulting
 :class:`~repro.sanitize.fingerprint.Fingerprint` is a complete,
 bit-exact trace of everything that must match between two runs that
 claim to be identical — and when they are not,

@@ -12,9 +12,9 @@ side — so a regression report reads "draw #3072 of stream
 Two comparison modes:
 
 * ``stream`` (default) — per-stream flattened value sequences. This is
-  the cross-engine mode: the array kernel batches draws (one 256-value
-  block call replaces 256 scalar calls), so call shapes legitimately
-  differ while the value sequence must not. A longer run's surplus is
+  the cross-engine mode: the array kernel batches draws (one block call
+  replaces many scalar calls), so call shapes legitimately differ while
+  the value sequence must not. A longer run's surplus is
   tolerated only when it is a *block tail*: every extra value lies in
   the longer run's final call record for that stream, and that record
   overlaps the compared prefix — i.e. the last batched block was simply
@@ -289,7 +289,8 @@ CHECKPOINT_KIND = "checkpoint-write"
 def verify_effect_protocol(fp: Fingerprint) -> List[str]:
     """Check the stream-layer crash-safety ordering within one run.
 
-    Invariants (the runtime twins of lint rule RPL008):
+    Invariants (the WAL-before-apply and manifest-before-checkpoint
+    rules of DESIGN.md §11):
 
     1. *WAL append dominates apply*: an apply that advances a shard's
        ``seq_applied`` watermark to ``n`` requires the records it
@@ -325,7 +326,7 @@ def verify_effect_protocol(fp: Fingerprint) -> List[str]:
                 problems.append(
                     f"effect #{i}: apply advanced `{eff.key}` watermark to "
                     f"{watermark} but only seq <= {durable} is durable in the "
-                    "WAL — apply precedes the append (RPL008 runtime twin)"
+                    "WAL — apply precedes the append (DESIGN §11)"
                 )
         elif eff.kind == MANIFEST_KIND:
             saw_manifest = True
@@ -336,7 +337,7 @@ def verify_effect_protocol(fp: Fingerprint) -> List[str]:
                 problems.append(
                     f"effect #{i}: checkpoint of `{eff.key}` (state <= {covered}) "
                     "with no prior manifest write — resume cannot locate it "
-                    "(RPL008 runtime twin)"
+                    "(DESIGN §11)"
                 )
                 continue
             pending = unmanifested.get(eff.key, -1)
@@ -345,6 +346,6 @@ def verify_effect_protocol(fp: Fingerprint) -> List[str]:
                     f"effect #{i}: checkpoint of `{eff.key}` covers applied "
                     f"state <= {covered}, but append seq {pending} on the same "
                     "WAL postdates the last manifest write — the manifest "
-                    "does not describe this checkpoint (RPL008 runtime twin)"
+                    "does not describe this checkpoint (DESIGN §11)"
                 )
     return problems

@@ -121,8 +121,7 @@ def save_checkpoint(store: BlobStore, name: str, payload: Mapping[str, Any]) -> 
     store.write_atomic(name, encode_checkpoint(payload))
     sanitizer = _sanitize_hooks.ACTIVE
     if sanitizer is not None and "manifest" in name:
-        # Mirrors the static classifier (dataflow._manifest_override):
-        # a "manifest"-named blob is the resume index, and the effect
+        # A "manifest"-named blob is the resume index, and the effect
         # protocol requires it to precede the checkpoints it describes.
         # Shard checkpoints are recorded (with WAL correlation) by
         # ShardWorker.checkpoint instead.

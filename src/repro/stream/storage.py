@@ -172,7 +172,7 @@ class DirectoryStore(BlobStore):
         except BaseException:
             try:
                 os.unlink(tmp)
-            except OSError:  # pragma: no cover - cleanup race  # reprolint: disable=RPL009 - tmp-file cleanup race; the original exception is re-raised
+            except OSError:  # pragma: no cover - tmp-file cleanup race; the original exception is re-raised
                 pass
             raise
 
@@ -198,7 +198,7 @@ class DirectoryStore(BlobStore):
     def delete(self, name: str) -> None:
         try:
             self._path(name).unlink()
-        except FileNotFoundError:  # reprolint: disable=RPL009 - idempotent delete: absence is the desired postcondition
+        except FileNotFoundError:  # idempotent delete: absence is the desired postcondition
             pass
         self._fsync_dir()
 

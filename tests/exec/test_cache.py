@@ -137,6 +137,31 @@ class TestResultCache:
         leftovers = list(tmp_path.rglob("*.tmp"))
         assert leftovers == []
 
+    def test_temp_file_is_fsynced_before_the_replace_that_publishes_it(
+        self, tmp_path, write_order
+    ):
+        # A crash after a replace of unsynced bytes can leave a torn entry,
+        # and an entry is trusted by its key: torn means a wrong result.
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("unit", 5)
+        cache.store(key, list(range(100)), "unit", 5)
+        published = os.stat(cache._path(key)).st_ino
+        assert write_order == [("fsync", published), ("replace", published)]
+
+    def test_storing_an_existing_key_publishes_a_new_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("unit", 6)
+        cache.store(key, "old", "unit", 6)
+        path = cache._path(key)
+        old_bytes = path.read_bytes()
+        with path.open("rb") as held:
+            cache.store(key, "new", "unit", 6)
+            # The old entry was never rewritten in place: a reader holding
+            # it still sees every old byte, and the key names a new file.
+            assert held.read() == old_bytes
+            assert os.stat(path).st_ino != os.fstat(held.fileno()).st_ino
+        assert cache.load(key) == "new"
+
     def test_unpicklable_result_raises_and_leaves_no_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key_for("unit", 4)

@@ -39,10 +39,6 @@ def test_each_fixture_file_fails_individually():
         "rpl003_bad.py",
         "rpl004_bad.py",
         "rpl005_bad.py",
-        "rpl006_bad.py",
-        "rpl007_bad.py",
-        "stream/rpl008_bad.py",
-        "stream/rpl009_bad.py",
     ):
         assert main([str(FIXTURES / fixture)]) == 1, fixture
 

@@ -1,4 +1,4 @@
-"""RPL006 negative fixture: each consumer derives its own substream."""
+"""Each consumer derives its own substream, so call order does not matter."""
 
 from repro.utils.rng import derive_rng
 

@@ -1,12 +1,12 @@
-"""RPL007 positive fixture: RNG draws under unordered iteration.
+"""RNG draws under iteration whose order the caller does not control.
 
 Two shapes: a direct loop over a set literal, and a call site passing a
-set to a function that draws per element (the flow-sensitive half).
+set to a function that draws per element.
 
-Runtime twin: ``tests/sanitize/test_rule_runtime_pin.py`` calls
-``fold_weights`` with two different element orders — the per-element
-``uniform(0, len(tag))`` draws scale by the element, so the fingerprints
-diverge at the first position where the orders disagree.
+``tests/sanitize/test_rule_runtime_pin.py`` calls ``fold_weights`` with
+two different element orders. The per-element ``uniform(0, len(tag))``
+draws scale by the element, so the fingerprints diverge at the first
+position where the orders disagree.
 """
 
 

@@ -1,4 +1,4 @@
-"""RPL007 negative fixture: ``sorted(...)`` launders the iteration order."""
+"""``sorted(...)`` fixes the iteration order before any draw."""
 
 
 def fold_weights(tags, rng):

@@ -1,10 +1,11 @@
-"""RPL008 positive fixture: both must-precede edges inverted.
+"""Durability effects out of order: both must-precede edges inverted.
 
-Uses the real stream-layer primitives so the runtime twin
-(``tests/sanitize/test_rule_runtime_pin.py``) can execute these exact
-functions under the sanitizer and watch
-``verify_effect_protocol`` flag the same inversions the static rule
-flags here.
+The evidence is applied before the WAL append that makes it durable,
+and the checkpoint is written before the manifest that indexes it. Uses
+the real stream-layer primitives so
+``tests/sanitize/test_rule_runtime_pin.py`` can run these exact
+functions under the sanitizer and watch ``verify_effect_protocol`` flag
+both inversions.
 """
 
 from repro.stream.checkpoint import save_checkpoint

@@ -1,5 +1,5 @@
-"""RPL008 negative fixture: WAL append before apply, manifest before
-checkpoint — the real sink's order."""
+"""WAL append before apply, manifest before checkpoint — the real sink's
+order."""
 
 from repro.stream.checkpoint import save_checkpoint
 from repro.stream.shard import shard_apply_task

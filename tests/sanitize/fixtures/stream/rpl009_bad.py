@@ -1,9 +1,9 @@
-"""RPL009 positive fixture: a handler that swallows bad records.
+"""A handler that swallows bad records without counting them.
 
-Runtime twin: ``tests/sanitize/test_rule_runtime_pin.py`` drains the
-same batch with and without one corrupt record — the swallowed record
-silently shifts every later draw, nothing counts the drop, and only the
-sanitizer's fingerprint diff names where the evidence disappeared.
+``tests/sanitize/test_rule_runtime_pin.py`` drains the same batch with
+and without one corrupt record. The swallowed record silently shifts
+every later draw, nothing counts the drop, and only the sanitizer's
+fingerprint diff names where the evidence disappeared.
 """
 
 

@@ -1,4 +1,4 @@
-"""RPL009 negative fixture: the drop is counted, so accounting balances."""
+"""The drop is counted, so accounting balances."""
 
 
 def decode_cost(record, rng):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.fastsim import _BLOCK
 from repro.sanitize import (
     Fingerprint,
     diff_fingerprints,
@@ -73,20 +74,27 @@ def test_divergent_value_mid_stream():
     assert d[0].site_b == "elsewhere.py:1 in f"
 
 
-def test_block_tail_allowance_cross_engine_shape():
+#: Block sizes the tail allowance must hold for: a large block, and the
+#: size the array kernel actually pre-draws.
+BLOCK_SIZES = (256, _BLOCK)
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_block_tail_allowance_cross_engine_shape(block_size):
     def scalar():
         gen = derive_rng(9, "arq")
         for _ in range(10):
             gen.random()
 
     def block():
-        derive_rng(9, "arq").random(256)  # pre-drawn block, tail unconsumed
+        derive_rng(9, "arq").random(block_size)  # pre-drawn block, tail unconsumed
 
     assert diff_fingerprints(_trace(scalar, "A"), _trace(block, "B"),
                              mode="stream") == []
 
 
-def test_extra_call_beyond_prefix_is_flagged():
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_extra_call_beyond_prefix_is_flagged(block_size):
     def scalar():
         gen = derive_rng(9, "arq")
         for _ in range(10):
@@ -94,7 +102,7 @@ def test_extra_call_beyond_prefix_is_flagged():
 
     def block_plus_one():
         gen = derive_rng(9, "arq")
-        gen.random(256)
+        gen.random(block_size)
         gen.random()  # extra call entirely past the compared prefix
 
     d = diff_fingerprints(

@@ -1,11 +1,14 @@
-"""Runtime pins for RPL006–RPL009: each static fixture's violation is
-also caught by the sanitizer when the fixture code actually runs.
+"""Runtime pins for four determinism defect classes that no per-file
+lint rule can see: one RNG stream shared by two consumers, draws under
+unordered iteration, durability effects out of order, and a handler
+that swallows evidence without counting it.
 
-This is the contract that keeps the static rules honest — a rule flags a
-shape, this suite demonstrates the shape misbehaving observably (a
-divergent fingerprint or a broken effect protocol), and the *ok* twin
-demonstrates the blessed spelling behaving identically under the same
-perturbation.
+Each *bad* fixture under ``fixtures/`` commits its defect when it runs,
+and the sanitizer observes it (a divergent fingerprint or a broken
+effect protocol); the *ok* twin runs the blessed spelling and behaves
+identically under the same perturbation. Test and fixture names keep
+the ids of the retired static rules RPL006–RPL009 that first named
+these classes (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from repro.stream.shard import ShardWorker, shard_apply_task
 from repro.stream.storage import DirectoryStore
 from repro.utils.rng import derive_rng
 
-FIXTURES = Path(__file__).parent.parent / "lint" / "fixtures"
+FIXTURES = Path(__file__).parent / "fixtures"
 _counter = itertools.count()
 
 
 def load_fixture(rel):
-    """Import a lint fixture fresh (module-level state re-executes)."""
+    """Import a fixture fresh (module-level state re-executes)."""
     path = FIXTURES / rel
     name = f"rpl_fixture_{rel.replace('/', '_')[:-3]}_{next(_counter)}"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -40,11 +43,11 @@ def load_fixture(rel):
     return module
 
 
-# ------------------------------------------------------------------ RPL006
+# -------------------------------------- one stream, two consumers (RPL006)
 
 def test_rpl006_aliased_stream_couples_consumers():
     """Swapping consumer call order reassigns which values each consumer
-    receives — exactly the parity break RPL006 predicts."""
+    receives — the parity break a shared stream causes."""
     with sanitize_run("scalar-first") as a:
         mod = load_fixture("rpl006_bad.py")
         scalar_first = mod.scalar_losses(4)
@@ -76,7 +79,7 @@ def test_rpl006_ok_per_consumer_substreams_commute():
                              mode="stream") == []
 
 
-# ------------------------------------------------------------------ RPL007
+# -------------------------------- draws under unordered iteration (RPL007)
 
 TAGS = ["n1", "n22", "n333", "n4444"]
 
@@ -105,7 +108,7 @@ def test_rpl007_ok_sorted_iteration_is_order_independent():
                              mode="global") == []
 
 
-# ------------------------------------------------------------------ RPL008
+# ---------------------------------------- durability-effect order (RPL008)
 
 def _records(n):
     return [
@@ -137,10 +140,9 @@ def test_rpl008_ok_order_verifies_clean(tmp_path):
 
 
 def test_apply_inside_an_open_wal_group_breaks_effect_protocol(tmp_path):
-    """RPL008 treats ``ShardWorker.log`` and ``WriteAheadLog.append`` as
-    the durable append, so it cannot see an apply placed inside an open
-    group. The group reports its appends only after its write and fsync,
-    so the sanitizer sees the apply run ahead of them."""
+    """An apply placed inside an open WAL group runs before the group's
+    write and fsync. The group reports its appends only after both, so
+    the sanitizer sees the apply run ahead of them."""
     records = _records(4)
     with sanitize_run("apply-in-group") as san:
         worker = ShardWorker(0, 3, DirectoryStore(tmp_path / "s", fsync=False))
@@ -153,7 +155,7 @@ def test_apply_inside_an_open_wal_group_breaks_effect_protocol(tmp_path):
     assert "apply precedes the append" in problems[0]
 
 
-# ------------------------------------------------------------------ RPL009
+# --------------------------------------------- swallowed evidence (RPL009)
 
 RECORDS = ["a", "bb", "ccc", "dddd", "eeeee"]
 

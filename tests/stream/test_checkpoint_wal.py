@@ -119,6 +119,22 @@ class TestDirectoryStore:
         save_checkpoint(store, "a.ckpt", {"v": 2})
         assert load_checkpoint(store, "a.ckpt") == {"v": 2}
 
+    def test_write_atomic_fsyncs_the_temp_file_then_replaces_then_fsyncs_the_dir(
+        self, tmp_path, write_order
+    ):
+        # Checkpoints and manifests are written through write_atomic: the
+        # bytes must be durable before the replace publishes them, and the
+        # replace itself durable (the directory fsync) before it returns.
+        store = DirectoryStore(tmp_path)
+        store.write_atomic("a.ckpt", b"payload")
+        published = os.stat(tmp_path / "a.ckpt").st_ino
+        directory = os.stat(tmp_path).st_ino
+        assert write_order == [
+            ("fsync", published),
+            ("replace", published),
+            ("fsync", directory),
+        ]
+
     def test_truncated_file_on_disk_is_rejected(self, tmp_path):
         store = DirectoryStore(tmp_path, fsync=False)
         save_checkpoint(store, "a.ckpt", {"v": 1})

@@ -178,8 +178,8 @@ class TestProcessResume:
 class TestEffectProtocol:
     """Runtime-sanitizer wiring: the durability-effect stream of every
     sink run — clean, crashing, quarantining, resuming — satisfies the
-    ordering protocol RPL008 checks statically (WAL append dominates
-    apply; manifest dominates checkpoint truncation). Restores
+    ordering protocol of DESIGN §11 (WAL append dominates apply;
+    manifest dominates checkpoint truncation). Restores
     legitimately change the effect *log*; they must never bend the
     protocol."""
 
