@@ -40,19 +40,14 @@ except OSError as exc:
 def exec_runner(default_jobs: int = 1) -> ParallelRunner:
     """Build the execution engine benches share.
 
-    Environment knobs (benches run under pytest, which has no custom
-    flags of its own here):
-
-    * ``REPRO_JOBS``       — worker processes (default: ``default_jobs``);
-    * ``REPRO_CACHE_DIR``  — enable the content-addressed result cache.
-
+    ``REPRO_JOBS`` sets the worker processes (default: ``default_jobs``);
+    benches run under pytest, which has no custom flags of its own here.
     Results are byte-identical whatever ``REPRO_JOBS`` is (enforced by
     ``tests/exec/test_determinism.py``), so the shape assertions at the
     end of each bench hold at any parallelism.
     """
     jobs = int(os.environ.get("REPRO_JOBS", str(default_jobs)))
-    cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    return ParallelRunner(jobs=jobs, cache_dir=cache_dir)
+    return ParallelRunner(jobs=jobs)
 
 
 def exec_footer(runner: ParallelRunner) -> str:

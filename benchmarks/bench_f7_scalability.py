@@ -48,7 +48,7 @@ SEED = 107
 LARGE_MIN_SUPPORT = 10
 
 #: One replicate per size, all independent — the engine shards them over
-#: REPRO_JOBS workers and caches each under REPRO_CACHE_DIR.
+#: REPRO_JOBS workers.
 RUNNER = exec_runner()
 
 

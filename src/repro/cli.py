@@ -234,7 +234,7 @@ def _compare_replicated(
     from repro.exec import ParallelRunner
     from repro.workloads import run_replicated
 
-    runner = ParallelRunner(jobs=args.jobs, cache_dir=args.cache_dir)
+    runner = ParallelRunner(jobs=args.jobs)
     rows_by_name = run_replicated(
         scenario,
         approaches,
@@ -354,7 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service_batch=args.service_batch,
             merge_every=args.merge_every,
             checkpoint_every=args.checkpoint_every,
-            jobs=args.jobs,
             retry=RetryPolicy(max_restarts=args.max_restarts),
             alerts=AlertPolicy(
                 loss_threshold=args.alert_threshold,
@@ -365,7 +364,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {source_desc}: {len(bundle.records)} records, "
         f"{sink.config.n_shards} shards, queue {sink.config.queue_policy}"
-        f"[{sink.config.queue_capacity}], jobs={sink.config.jobs}"
+        f"[{sink.config.queue_capacity}]"
     )
     events_fh = open(args.events, "a", encoding="utf-8") if args.events else None
     try:
@@ -584,13 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for replicated runs; output is byte-identical "
         "to --jobs 1 regardless of N",
     )
-    cmp_p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result cache; reruns only compute replicates "
-        "missing for this exact configuration and code version",
-    )
 
     serve_p = sub.add_parser(
         "serve", help="stream a trace (or live run) through the resilient sink"
@@ -603,13 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay this recorded JSONL trace instead of simulating",
     )
     serve_p.add_argument("--shards", type=int, default=4)
-    serve_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for shard apply; output is byte-identical "
-        "to --jobs 1 regardless of N",
-    )
     serve_p.add_argument(
         "--state-dir",
         metavar="DIR",

@@ -1,8 +1,6 @@
-"""Parallel replicated-run engine: process-pool sharding with a
-content-addressed result cache and determinism guarantees (DESIGN.md §6)."""
+"""Parallel replicated-run engine: process-pool sharding with
+determinism guarantees (DESIGN.md §8)."""
 
-from repro.exec.cache import ResultCache
-from repro.exec.hashing import code_version, stable_describe, stable_digest
 from repro.exec.parallel import (
     ComparisonTask,
     ComparisonTaskResult,
@@ -18,9 +16,5 @@ __all__ = [
     "ExecutionError",
     "ExecutionStats",
     "ParallelRunner",
-    "ResultCache",
     "RunSummary",
-    "code_version",
-    "stable_describe",
-    "stable_digest",
 ]

@@ -13,19 +13,12 @@ is the design constraint everything else bends around:
 * results are collected positionally, so aggregation order matches the
   serial loop regardless of completion order.
 
-Dispatch is chunked (``chunksize`` tasks per worker invocation), with a
-per-task timeout and crashed-worker retry: a worker that dies (OOM
-killer, segfaulting native code) breaks the pool, which is rebuilt and
-the affected chunks re-enqueued up to ``max_retries`` times. Exceptions
-*raised by the task itself* are never retried — a deterministic failure
-would only fail identically again, and hiding it behind retries would
-mask real bugs.
-
-When a cache directory is configured, each comparison task is keyed by
-``(code version, scenario, approaches, seed, scoring knobs)`` in a
-:class:`repro.exec.cache.ResultCache`; re-running a bench only computes
-the replicates that are missing, and a fully warm rerun executes zero
-simulations (see :attr:`ParallelRunner.stats`).
+Each task is one pool submission, with at most ``jobs`` in flight. A
+worker that dies (OOM killer, segfaulting native code) breaks the pool,
+which is rebuilt and the tasks that were in flight re-enqueued, each at
+most :data:`MAX_RETRIES` times. Exceptions *raised by the task itself*
+are never retried — a deterministic failure would only fail identically
+again, and hiding it behind retries would mask real bugs.
 """
 
 from __future__ import annotations
@@ -35,18 +28,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-from repro.exec.cache import ResultCache
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # avoid a circular import; workers import lazily
     from repro.workloads.runner import ApproachSpec, ComparisonRow
@@ -61,12 +43,13 @@ __all__ = [
     "ParallelRunner",
 ]
 
-#: Version tag baked into every comparison cache key; bump on layout changes.
-_COMPARISON_KEY = "comparison-task/v1"
+#: How many times a task may be re-enqueued after a worker crash before
+#: :class:`ExecutionError` is raised.
+MAX_RETRIES = 2
 
 
 class ExecutionError(RuntimeError):
-    """A task could not be completed (crashes/timeouts beyond the retry budget)."""
+    """A task raised, or its worker crashed more often than the retry budget."""
 
 
 @dataclass(frozen=True)
@@ -110,22 +93,14 @@ class ExecutionStats:
     """What one engine invocation did (exposed as ``runner.stats``)."""
 
     tasks: int = 0
-    cache_hits: int = 0
     executed: int = 0
     retries: int = 0
-    timeouts: int = 0
     wall_seconds: float = 0.0
 
     def describe(self) -> str:
-        parts = [
-            f"tasks={self.tasks}",
-            f"cache_hits={self.cache_hits}",
-            f"executed={self.executed}",
-        ]
+        parts = [f"tasks={self.tasks}", f"executed={self.executed}"]
         if self.retries:
             parts.append(f"retries={self.retries}")
-        if self.timeouts:
-            parts.append(f"timeouts={self.timeouts}")
         parts.append(f"wall={self.wall_seconds:.2f}s")
         return ", ".join(parts)
 
@@ -155,233 +130,94 @@ def _execute_comparison_task(task: ComparisonTask) -> ComparisonTaskResult:
     return ComparisonTaskResult(rows=rows, summary=summary)
 
 
-def _chunk_worker(fn: Callable[[Any], Any], payloads: Tuple[Any, ...]) -> List[Any]:
-    """Executed inside a worker process: run one chunk of tasks in order."""
-    return [fn(p) for p in payloads]
-
-
-@dataclass
-class _Chunk:
-    indices: Tuple[int, ...]
-    payloads: Tuple[Any, ...]
-    attempts: int = 0
-
-
 class ParallelRunner:
     """Process-pool executor for independent simulation tasks.
 
-    Parameters
-    ----------
-    jobs:
-        Worker processes. ``1`` (the default) runs everything in-process
-        — no pool, no pickling — which is also the reference output the
-        determinism suite compares parallel runs against.
-    cache_dir:
-        Enable the content-addressed result cache at this directory.
-    task_timeout:
-        Seconds allowed per task (scaled by chunk length). A chunk that
-        exceeds it is abandoned (its pool is discarded) and re-enqueued.
-        None disables timeouts.
-    max_retries:
-        How many times a chunk may be re-enqueued after a worker crash
-        or timeout before :class:`ExecutionError` is raised.
-    chunksize:
-        Tasks per worker invocation. The default (1) maximizes load
-        balance and gives exact per-task timeout/retry granularity;
-        raise it only for very large fleets of very short tasks.
+    ``jobs`` is the number of worker processes. ``1`` (the default) runs
+    everything in-process — no pool, no pickling — which is also the
+    reference output the determinism suite compares parallel runs
+    against.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        *,
-        cache_dir: Optional[str] = None,
-        task_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        chunksize: int = 1,
-    ) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be > 0 or None")
         self.jobs = jobs
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.chunksize = chunksize
-        self.cache: Optional[ResultCache] = (
-            ResultCache(cache_dir) if cache_dir is not None else None
-        )
         self.stats = ExecutionStats()
-
-    # -- public API -------------------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Apply a picklable module-level ``fn`` to every item, in order.
 
         Results come back positionally, whatever the completion order.
-        No caching (use :meth:`run_comparisons` for cached simulation
-        tasks).
         """
-        # Host-clock reads below only feed ExecutionStats/timeout tracking;
-        # results are collected positionally, so timing never changes output.
+        # Host-clock reads below only feed ExecutionStats; results are
+        # collected positionally, so timing never changes output.
         t0 = time.monotonic()  # reprolint: disable=RPL002
-        self.stats = ExecutionStats(tasks=len(items))
-        out = self._dispatch(fn, list(enumerate(items)), self.stats)
+        self.stats = ExecutionStats(tasks=len(items), executed=len(items))
+        out = self._dispatch(fn, list(items))
         self.stats.wall_seconds = time.monotonic() - t0  # reprolint: disable=RPL002
         return out
 
     def run_comparisons(
         self, tasks: Sequence[ComparisonTask]
     ) -> List[ComparisonTaskResult]:
-        """Execute comparison replicates, consulting/filling the cache."""
-        t0 = time.monotonic()  # reprolint: disable=RPL002  (stats only)
-        stats = ExecutionStats(tasks=len(tasks))
-        self.stats = stats
-        results: Dict[int, ComparisonTaskResult] = {}
-        keys: Dict[int, str] = {}
-        missing: List[int] = []
-        for i, task in enumerate(tasks):
-            if self.cache is not None:
-                key = self.cache.key_for(_COMPARISON_KEY, task)
-                keys[i] = key
-                hit = self.cache.load(key)
-                if hit is not None:
-                    results[i] = hit
-                    stats.cache_hits += 1
-                    continue
-            missing.append(i)
-        computed = self._dispatch(
-            _execute_comparison_task,
-            [(i, tasks[i]) for i in missing],
-            stats,
-        )
-        for i, value in zip(missing, computed):
-            results[i] = value
-            if self.cache is not None:
-                self.cache.store(keys[i], value, _COMPARISON_KEY, tasks[i])
-        stats.wall_seconds = time.monotonic() - t0  # reprolint: disable=RPL002
-        return [results[i] for i in range(len(tasks))]
+        """Execute comparison replicates; results come back in task order."""
+        return self.map(_execute_comparison_task, tasks)
 
-    # -- dispatch core ----------------------------------------------------------
-
-    def _dispatch(
-        self,
-        fn: Callable[[Any], Any],
-        indexed: List[Tuple[int, Any]],
-        stats: ExecutionStats,
-    ) -> List[Any]:
-        """Run ``fn`` over ``(original_index, payload)`` pairs; return values
-        ordered by position in ``indexed``."""
-        stats.executed += len(indexed)
-        if not indexed:
-            return []
+    def _dispatch(self, fn: Callable[[Any], Any], items: List[Any]) -> List[Any]:
         if self.jobs == 1:
             # The reference path: same function, same order, no pool.
             # (Even a single task goes through the pool when jobs > 1 —
-            # crash/timeout isolation needs the process boundary.)
-            return [fn(payload) for _, payload in indexed]
-        by_index: Dict[int, Any] = {}
-        chunks = deque(
-            _Chunk(
-                indices=tuple(i for i, _ in indexed[pos : pos + self.chunksize]),
-                payloads=tuple(p for _, p in indexed[pos : pos + self.chunksize]),
-            )
-            for pos in range(0, len(indexed), self.chunksize)
-        )
-        active: Dict[Future, _Chunk] = {}
-        started: Dict[Future, float] = {}
+            # crash isolation needs the process boundary.)
+            return [fn(item) for item in items]
+        results: List[Any] = [None] * len(items)
+        attempts = [0] * len(items)
+        queue = deque(range(len(items)))
+
+        def requeue(i: int) -> None:
+            attempts[i] += 1
+            if attempts[i] > MAX_RETRIES:
+                raise ExecutionError(
+                    f"task {i} failed by crash {attempts[i]} times "
+                    f"(retry budget {MAX_RETRIES})"
+                )
+            self.stats.retries += 1
+            queue.append(i)
+
+        active: Dict[Future, int] = {}
         pool: Optional[ProcessPoolExecutor] = None
         try:
-            while chunks or active:
+            while queue or active:
                 if pool is None:
                     pool = ProcessPoolExecutor(max_workers=self.jobs)
-                # Keep a window of at most `jobs` chunks in flight so a
-                # submitted chunk starts (almost) immediately — that makes
-                # wall-clock-since-submit an honest per-task timeout.
-                while chunks and len(active) < self.jobs:
-                    chunk = chunks.popleft()
-                    fut = pool.submit(_chunk_worker, fn, chunk.payloads)
-                    active[fut] = chunk
-                    # reprolint: disable-next-line=RPL002  (timeout tracking)
-                    started[fut] = time.monotonic()
-                done, _ = wait(
-                    set(active),
-                    timeout=0.05 if self.task_timeout is not None else None,
-                    return_when=FIRST_COMPLETED,
-                )
+                # At most `jobs` tasks in flight: a crash then costs only
+                # the tasks that were actually running.
+                while queue and len(active) < self.jobs:
+                    i = queue.popleft()
+                    active[pool.submit(fn, items[i])] = i
+                done, _ = wait(set(active), return_when=FIRST_COMPLETED)
                 broken = False
                 for fut in done:
-                    chunk = active.pop(fut)
-                    started.pop(fut, None)
+                    i = active.pop(fut)
                     try:
-                        values = fut.result()
+                        results[i] = fut.result()
                     except BrokenProcessPool:
-                        self._requeue(chunk, chunks, stats, reason="crash")
+                        requeue(i)
                         broken = True
                     except Exception as exc:
                         raise ExecutionError(
-                            f"task {chunk.indices} raised {type(exc).__name__}: {exc}"
+                            f"task {i} raised {type(exc).__name__}: {exc}"
                         ) from exc
-                    else:
-                        for i, value in zip(chunk.indices, values):
-                            by_index[i] = value
                 if broken:
-                    # The pool is dead: every in-flight chunk is lost too.
+                    # The pool is dead: every in-flight task is lost too.
                     # We cannot tell which task killed the worker, so every
                     # casualty's attempt counter advances.
-                    for chunk in active.values():
-                        self._requeue(chunk, chunks, stats, reason="crash")
+                    for i in active.values():
+                        requeue(i)
                     active.clear()
-                    started.clear()
                     pool.shutdown(wait=False)
                     pool = None
-                    continue
-                if self.task_timeout is not None:
-                    now = time.monotonic()  # reprolint: disable=RPL002
-                    limit_exceeded = [
-                        fut
-                        for fut, chunk in active.items()
-                        if now - started[fut]
-                        > self.task_timeout * len(chunk.payloads)
-                    ]
-                    if limit_exceeded:
-                        stats.timeouts += len(limit_exceeded)
-                        for fut in limit_exceeded:
-                            self._requeue(
-                                active.pop(fut), chunks, stats, reason="timeout"
-                            )
-                            started.pop(fut, None)
-                        # Hung workers can't be interrupted portably —
-                        # abandon the whole pool and resubmit the innocent
-                        # in-flight chunks (no attempt penalty for those).
-                        for chunk in active.values():
-                            chunks.append(chunk)
-                        active.clear()
-                        started.clear()
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = None
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
-        return [by_index[i] for i, _ in indexed]
-
-    def _requeue(
-        self,
-        chunk: _Chunk,
-        chunks: "deque[_Chunk]",
-        stats: ExecutionStats,
-        *,
-        reason: str,
-    ) -> None:
-        chunk.attempts += 1
-        if chunk.attempts > self.max_retries:
-            raise ExecutionError(
-                f"task {chunk.indices} failed by {reason} "
-                f"{chunk.attempts} times (max_retries={self.max_retries})"
-            )
-        stats.retries += 1
-        chunks.append(chunk)
+        return results

@@ -1,11 +1,9 @@
 """reprolint: static enforcement of the repo's determinism contract.
 
-The parallel execution engine (PR 2) made bit-determinism a hard
-contract: ``--jobs N`` output is byte-identical to ``--jobs 1`` and
-cache keys are content-addressed through
-:func:`repro.exec.hashing.stable_describe`. Golden traces catch a
-violation only *after* a flaky diff has landed; this package catches the
-usual causes at lint time, before a single simulation runs.
+The parallel execution engine made bit-determinism a hard contract:
+``--jobs N`` output is byte-identical to ``--jobs 1``. Golden traces
+catch a violation only *after* a flaky diff has landed; this package
+catches the usual causes at lint time, before a single simulation runs.
 
 Rules (see DESIGN.md §"Static guarantees" for the full rationale):
 
@@ -21,7 +19,7 @@ Rules (see DESIGN.md §"Static guarantees" for the full rationale):
 * **RPL003** — lambdas / closures / locally-defined functions handed to
   scenario registries, approach factories, or anything else that
   crosses the :class:`repro.exec.ParallelRunner` process boundary.
-  Such callables neither pickle nor produce stable cache keys.
+  Such callables do not pickle.
 * **RPL004** — unordered ``set``/``frozenset`` contents materialised
   into an ordered sequence without ``sorted(...)``, which makes any
   downstream hashing or trace output order-dependent.

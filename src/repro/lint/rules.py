@@ -72,14 +72,12 @@ _CLOCK_FNS: Dict[str, frozenset] = {
     "uuid": frozenset({"uuid1", "uuid4"}),
 }
 
-# Callees whose arguments cross the ParallelRunner process boundary or
-# land in stable cache keys (RPL003).
+# Callees whose arguments cross the ParallelRunner process boundary (RPL003).
 _BOUNDARY_CALLEES = frozenset(
     {
         "Scenario", "ApproachSpec", "ComparisonTask",
         "run_comparison", "run_replicated", "run_comparisons",
         "register_scenario", "register_approach",
-        "stable_describe", "stable_digest", "key_for",
     }
 )
 
@@ -347,12 +345,11 @@ class WallClockRule(Rule):
 class UnpicklableCallableRule(Rule):
     """RPL003 — lambdas/closures crossing the process boundary.
 
-    ``ParallelRunner`` pickles every task to its workers, and
-    ``stable_describe`` keys cache entries by a callable's qualified
-    name. A lambda or a function defined inside another function does
-    neither: pickling fails (or worse, silently resolves to the wrong
-    object), and ``<locals>`` qualnames are not stable keys. Anything
-    stored in a Scenario, ApproachSpec, ComparisonTask or a
+    ``ParallelRunner`` pickles every task to its workers, and pickle
+    refers to a callable by its qualified name. A lambda or a function
+    defined inside another function has no importable name, so
+    pickling fails (or worse, silently resolves to the wrong object).
+    Anything stored in a Scenario, ApproachSpec, ComparisonTask or a
     scenario/approach registry must be a module-level callable, a
     ``functools.partial`` of one, or a frozen dataclass instance.
     """
@@ -466,16 +463,14 @@ class UnpicklableCallableRule(Rule):
         if isinstance(value, ast.Lambda):
             yield _violation(
                 ctx, value, UnpicklableCallableRule.rule_id,
-                f"lambda {where}: lambdas neither pickle to pool workers nor "
-                "have stable cache-key qualnames; use a module-level function "
-                "or functools.partial of one",
+                f"lambda {where}: lambdas do not pickle to pool workers; use "
+                "a module-level function or functools.partial of one",
             )
         elif isinstance(value, ast.Name) and value.id in local_defs:
             yield _violation(
                 ctx, value, UnpicklableCallableRule.rule_id,
                 f"locally-defined function `{value.id}` {where}: its "
-                "`<locals>` qualname neither pickles nor forms a stable "
-                "cache key; move it to module level",
+                "`<locals>` qualname does not pickle; move it to module level",
             )
 
 
@@ -485,10 +480,7 @@ class UnorderedMaterializationRule(Rule):
     ``set``/``frozenset`` iteration order depends on insertion history
     and per-type hash layout; once that order is frozen into a ``list``,
     tuple, joined string or list-comprehension it can leak into trace
-    files, cache descriptions and reports. ``stable_describe`` sorts the
-    sets it is given — the danger is materialising *before* it (or any
-    other hashing/serialisation) sees the data. Wrap the set in
-    ``sorted(...)`` instead.
+    files and reports. Wrap the set in ``sorted(...)`` instead.
     """
 
     rule_id = "RPL004"

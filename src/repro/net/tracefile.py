@@ -8,9 +8,9 @@ compared without re-simulating (or, with a hand-written trace, run on
 data from an entirely different source).
 
 Format: one JSON object per line. A header line (`"type": "header"`)
-carries run metadata; each packet line (`"type": "packet"`) records the
-origin, timestamps, outcome and per-hop (sender, receiver, attempts,
-delivered) tuples.
+carries run metadata and precedes every packet line; each packet line
+(`"type": "packet"`) records the origin, timestamps, outcome and per-hop
+(sender, receiver, attempts, delivered) tuples.
 """
 
 from __future__ import annotations
@@ -115,8 +115,38 @@ def save_trace(
     return path
 
 
+def _parse_hops(
+    lineno: int, hops: list, max_attempts: int
+) -> List[Tuple[int, int, int, bool]]:
+    """A packet line's hops as tuples.
+
+    Rejects a hop that is not ``[sender, receiver, attempts, delivered]``
+    and a delivered hop whose attempt count lies outside
+    ``[1, max_attempts]``, which no estimator can take.
+    """
+    out = []
+    for hop in hops:
+        if type(hop) is not list or len(hop) != 4:
+            raise ValueError(
+                f"line {lineno}: hop {hop!r} is not "
+                "[sender, receiver, attempts, delivered]"
+            )
+        sender, receiver, attempts, delivered = hop
+        if delivered and not (type(attempts) is int and 1 <= attempts <= max_attempts):
+            raise ValueError(
+                f"line {lineno}: delivered hop {hop!r} has attempt count "
+                f"{attempts!r} outside [1, {max_attempts}]"
+            )
+        out.append((sender, receiver, attempts, delivered))
+    return out
+
+
 def load_trace(path: PathLike) -> Tuple[TraceHeader, List[TracePacket]]:
-    """Read a trace file back into structured records."""
+    """Read a trace file back into structured records.
+
+    Raises ``ValueError`` naming the line of a malformed record; the
+    header must come before the first packet.
+    """
     path = pathlib.Path(path)
     header: Optional[TraceHeader] = None
     packets: List[TracePacket] = []
@@ -140,6 +170,8 @@ def load_trace(path: PathLike) -> Tuple[TraceHeader, List[TracePacket]]:
                     true_losses=record.get("true_losses", {}),
                 )
             elif kind == "packet":
+                if header is None:
+                    raise ValueError(f"line {lineno}: no header line before this packet")
                 packets.append(
                     TracePacket(
                         origin=record["origin"],
@@ -147,7 +179,7 @@ def load_trace(path: PathLike) -> Tuple[TraceHeader, List[TracePacket]]:
                         created_at=record["created_at"],
                         delivered_at=record.get("delivered_at"),
                         drop_reason=record.get("drop_reason"),
-                        hops=[tuple(h) for h in record["hops"]],
+                        hops=_parse_hops(lineno, record["hops"], header.max_attempts),
                     )
                 )
             else:

@@ -1,9 +1,8 @@
-"""Picklable packet records and the stable shard hash.
+"""Packet records and the stable shard hash.
 
-The streaming sink moves packet evidence across three boundaries — the
-bounded ingest queue, the per-shard write-ahead spool, and (at
-``jobs > 1``) the :class:`~repro.exec.parallel.ParallelRunner` process
-pool — so the unit of work must be a small, immutable, picklable and
+The streaming sink holds packet evidence in its bounded ingest queue,
+writes it to the per-shard write-ahead spool, and saves the queued part
+in its manifest, so the unit of work must be a small, immutable and
 JSON-able value. :class:`PacketRecord` is that unit: one packet's
 journey reduced to exactly what the estimator consumes.
 

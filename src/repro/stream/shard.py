@@ -7,15 +7,13 @@ before any estimator sees it) and a versioned checkpoint (written every
 few snapshots once every spooled record is applied, after which the
 spool is deleted unread).
 
-The apply step is factored as the *stateless* module-level
-:func:`shard_apply_task` — fold a batch into a fresh estimator, return
-its ``state_dict()`` delta — so the sink can run it inline (``jobs=1``)
-or ship it through :class:`repro.exec.parallel.ParallelRunner`'s process
-pool (``jobs>1``, with its chunked dispatch, per-task timeout and
-crashed-worker retry) and merge the delta positionally either way.
-Because :meth:`PerLinkEstimator.merge` is commutative/associative over
-sufficient statistics (the property ``tests/stream/test_merge_properties.py``
-pins), both paths produce byte-identical shard state.
+The apply step is the module-level :func:`shard_apply_task` — fold a
+batch into a fresh estimator, return its ``state_dict()`` delta — and
+:meth:`ShardWorker.absorb`, which merges that delta into the live
+estimator. Because :meth:`PerLinkEstimator.merge` is
+commutative/associative over sufficient statistics (the property
+``tests/stream/test_merge_properties.py`` pins), the shard ends in the
+same state as if every record had been fed to it directly.
 
 Recovery invariant: ``restore()`` rebuilds the estimator *from durable
 state only* (checkpoint + spool replay), never from what the crashed
@@ -34,35 +32,30 @@ from repro.stream.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.stream.records import (
-    PacketRecord,
-    feed_estimator,
-    record_from_dict,
-    record_to_dict,
-)
+from repro.stream.records import PacketRecord, feed_estimator
 from repro.sanitize import hooks as _sanitize_hooks
 from repro.stream.storage import BlobStore
 from repro.stream.wal import WriteAheadLog
 
 __all__ = ["ShardStats", "ShardWorker", "shard_apply_task"]
 
-#: (max_attempts, truncation_correction, record dicts) — one apply batch.
-ApplyPayload = Tuple[int, bool, Tuple[Dict[str, Any], ...]]
 
+def shard_apply_task(
+    max_attempts: int,
+    truncation_correction: bool,
+    records: Sequence[PacketRecord],
+) -> Dict[str, Any]:
+    """Fold a record batch into a fresh estimator; return its ``state_dict()``.
 
-def shard_apply_task(payload: ApplyPayload) -> Dict[str, Any]:
-    """Stateless apply: fold a record batch into a fresh estimator.
-
-    Returns the fresh estimator's ``state_dict()`` — a pure function of
-    the payload, safe to run in any process and to retry after a worker
-    crash. The coordinator merges the delta into the shard's live
-    estimator.
+    A pure function of its arguments. The sink merges the delta into the
+    shard's live estimator with :meth:`ShardWorker.absorb`. The delta
+    round trip stays only because ``perfbench/tracing.py`` times this
+    function and ``absorb`` by name (DESIGN.md §11).
     """
-    max_attempts, truncation_correction, rec_dicts = payload
     delta = PerLinkEstimator(
         max_attempts, truncation_correction=truncation_correction
     )
-    feed_estimator(delta, [record_from_dict(d) for d in rec_dicts])
+    feed_estimator(delta, records)
     return delta.state_dict()
 
 
@@ -125,14 +118,6 @@ class ShardWorker:
         self.seq_logged = seq
         self.stats.logged += len(records)
 
-    def payload(self, records: Sequence[PacketRecord]) -> ApplyPayload:
-        """Picklable apply-task payload for this round's batch."""
-        return (
-            self.max_attempts,
-            self.truncation_correction,
-            tuple(record_to_dict(r) for r in records),
-        )
-
     def absorb(self, delta_state: Dict[str, Any], count: int) -> None:
         """Merge an apply task's delta; advances the applied watermark."""
         if self.estimator is None:
@@ -155,8 +140,8 @@ class ShardWorker:
         """The worker died: in-memory estimator state is gone."""
         self.estimator = None
 
-    def peek_durable(self) -> Tuple[PerLinkEstimator, int, float]:
-        """(estimator, durable seq, max record time) from durable state only.
+    def peek_durable(self) -> Tuple[PerLinkEstimator, int]:
+        """(estimator, durable seq) from durable state only.
 
         Checkpoint (if any) plus full spool replay — exactly what
         :meth:`restore` installs, but without touching worker state, so
@@ -185,29 +170,24 @@ class ShardWorker:
                     "malformed", f"invalid estimator state: {exc2}"
                 ) from exc2
         durable_seq = ckpt_seq
-        max_time = 0.0
         replayed: List[PacketRecord] = []
         for seq, record in self.wal.replay(ckpt_seq):
             replayed.append(record)
             durable_seq = seq
-            max_time = max(max_time, record.created_at)
         feed_estimator(est, replayed)
         self.stats.replayed += len(replayed)
-        return est, durable_seq, max_time
+        return est, durable_seq
 
-    def restore(self) -> float:
+    def restore(self) -> None:
         """Rebuild the live estimator from checkpoint + spool replay.
 
-        Returns the max record time replayed (0.0 if none) so the sink
-        can keep its stream clock honest. Idempotent: restoring twice is
-        the same as restoring once.
+        Idempotent: restoring twice is the same as restoring once.
         """
-        est, durable_seq, max_time = self.peek_durable()
+        est, durable_seq = self.peek_durable()
         self.estimator = est
         self.seq_applied = durable_seq
         self.seq_logged = max(self.seq_logged, durable_seq)
         self.stats.restores += 1
-        return max_time
 
     def checkpoint(self) -> None:
         """Durably snapshot the estimator; delete the acked spool unread."""

@@ -16,11 +16,10 @@ unit of progress) it:
    a crashed/stalled shard loses its in-memory estimator and goes into
    supervised backoff, or into terminal quarantine past the retry
    budget;
-5. applies each healthy shard's batch as a stateless
-   :func:`~repro.stream.shard.shard_apply_task` delta — inline at
-   ``jobs=1``, through :class:`~repro.exec.parallel.ParallelRunner`'s
-   supervised process pool at ``jobs>1`` — and merges deltas in sorted
-   shard order, so worker count never changes the result;
+5. applies each healthy shard's batch in sorted shard order, in
+   process: :func:`~repro.stream.shard.shard_apply_task` folds the
+   records into a fresh estimator and :meth:`ShardWorker.absorb` merges
+   that delta into the shard's live one;
 6. every ``merge_every`` rounds (and at end-of-stream) emits a
    :class:`SinkSnapshot`: the merged global estimator (healthy shards
    live, down shards from their durable state, quarantined shards from
@@ -34,8 +33,7 @@ Equivalence guarantees (pinned by ``tests/stream/``):
 * **kill-restore** — with injected crashes, final estimates are
   field-identical to the same-seed uninterrupted run;
 * **process resume** — :meth:`StreamingSink.resume` from the manifest
-  mid-stream converges to the same final state;
-* **jobs** — ``jobs=N`` output is byte-identical to ``jobs=1``.
+  mid-stream converges to the same final state.
 
 Durability ordering: the manifest is written *before* shard checkpoints
 at each snapshot, so a checkpoint is never newer than the newest
@@ -50,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.estimator import LinkEstimate, PerLinkEstimator
-from repro.exec.parallel import ParallelRunner
 from repro.net.faults import ShardFaultPlan
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.queue import BoundedPacketQueue, QueueStats
@@ -126,10 +123,6 @@ class SinkConfig:
     merge_every: int = 8
     #: Write shard checkpoints every this many snapshots.
     checkpoint_every: int = 2
-    #: Worker processes for the apply stage (1 = inline, no pool).
-    jobs: int = 1
-    task_timeout: Optional[float] = None
-    max_retries: int = 2
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     alerts: Optional[AlertPolicy] = field(default_factory=AlertPolicy)
 
@@ -144,8 +137,6 @@ class SinkConfig:
             raise ValueError("merge_every must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -156,9 +147,6 @@ class SinkConfig:
             "service_batch": self.service_batch,
             "merge_every": self.merge_every,
             "checkpoint_every": self.checkpoint_every,
-            "jobs": self.jobs,
-            "task_timeout": self.task_timeout,
-            "max_retries": self.max_retries,
             "retry": {
                 "max_restarts": self.retry.max_restarts,
                 "backoff_base": self.retry.backoff_base,
@@ -174,6 +162,9 @@ class SinkConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SinkConfig":
+        # Older manifests also carry the settings of a process-pool apply
+        # that no longer exists (worker count, timeout, retry budget).
+        # Only the keys read below matter, so those are ignored.
         alerts = data.get("alerts")
         return cls(
             n_shards=int(data["n_shards"]),
@@ -183,9 +174,6 @@ class SinkConfig:
             service_batch=int(data["service_batch"]),
             merge_every=int(data["merge_every"]),
             checkpoint_every=int(data["checkpoint_every"]),
-            jobs=int(data["jobs"]),
-            task_timeout=data["task_timeout"],
-            max_retries=int(data["max_retries"]),
             retry=RetryPolicy(**data["retry"]),
             alerts=None if alerts is None else AlertPolicy(**alerts),
         )
@@ -262,15 +250,6 @@ class StreamingSink:
             )
             for i in range(self.config.n_shards)
         ]
-        self._runner = (
-            ParallelRunner(
-                jobs=self.config.jobs,
-                task_timeout=self.config.task_timeout,
-                max_retries=self.config.max_retries,
-            )
-            if self.config.jobs > 1
-            else None
-        )
         self.stats = SinkStats()
         self.round_no = 0
         self.stream_time = 0.0
@@ -399,23 +378,19 @@ class StreamingSink:
 
     def _quarantine(self, s: int) -> None:
         """Freeze the shard's last durable state as its final contribution."""
-        frozen, _seq, _t = self.shards[s].peek_durable()
+        frozen, _seq = self.shards[s].peek_durable()
         self._frozen[s] = frozen.state_dict()
         self._stale.update(frozen.links())
 
     def _apply(self, per_shard: Dict[int, List[PacketRecord]]) -> None:
-        applying = [
-            s for s in sorted(per_shard) if self.supervisor.state(s) == HEALTHY
-        ]
-        if not applying:
-            return
-        payloads = [self.shards[s].payload(per_shard[s]) for s in applying]
-        if self._runner is None:
-            deltas = [shard_apply_task(p) for p in payloads]
-        else:
-            deltas = self._runner.map(shard_apply_task, payloads)
-        for s, delta in zip(applying, deltas):
-            self.shards[s].absorb(delta, len(per_shard[s]))
+        for s in sorted(per_shard):
+            if self.supervisor.state(s) != HEALTHY:
+                continue
+            shard, records = self.shards[s], per_shard[s]
+            delta = shard_apply_task(
+                shard.max_attempts, shard.truncation_correction, records
+            )
+            shard.absorb(delta, len(records))
 
     # -- snapshots / global view ------------------------------------------------------
 

@@ -5,15 +5,14 @@ passive observers, so attaching several never perturbs the channel or
 routing randomness) — paired comparisons with common random numbers.
 :func:`run_comparison` executes one seed; :func:`run_replicated` averages
 over several, optionally sharding the replicates over a process pool
-(``jobs``) with a content-addressed result cache (``cache_dir``) — see
-:mod:`repro.exec`.
+(``jobs``) — see :mod:`repro.exec`.
 
 Everything an :class:`ApproachSpec` holds must be picklable: factories
 are frozen-dataclass callables and extractors are module-level functions
 (never closures), because specs ride inside
-:class:`repro.exec.ComparisonTask` payloads to pool workers and into
-stable cache keys. ``tests/workloads/test_dispatchable.py`` enforces
-this for every spec this module exports.
+:class:`repro.exec.ComparisonTask` payloads to pool workers.
+``tests/workloads/test_dispatchable.py`` enforces this for every spec
+this module exports.
 """
 
 from __future__ import annotations
@@ -308,7 +307,6 @@ def run_replicated(
     min_support: int = 0,
     truth_kind: str = "empirical",
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
     runner: Optional["ParallelRunner"] = None,
 ) -> Dict[str, ReplicatedRow]:
     """Average :func:`run_comparison` over independent replicate seeds.
@@ -316,10 +314,8 @@ def run_replicated(
     Replicate seeds are derived up-front with :func:`spawn_seeds`, so
     each replicate's random streams are fixed by ``(master_seed, index)``
     alone — never by scheduling. ``jobs > 1`` shards the replicates over
-    a process pool with byte-identical output to ``jobs=1``;
-    ``cache_dir`` skips replicates already computed for this exact
-    configuration and code version. Pass an explicit ``runner`` to reuse
-    a pool/cache across calls and to read ``runner.stats`` afterwards.
+    a process pool with byte-identical output to ``jobs=1``. Pass an
+    explicit ``runner`` to read ``runner.stats`` afterwards.
     """
     from repro.exec.parallel import ComparisonTask, ParallelRunner
 
@@ -327,7 +323,7 @@ def run_replicated(
         raise ValueError("replicates must be >= 1")
     seeds = spawn_seeds(master_seed, replicates)
     if runner is None:
-        runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
+        runner = ParallelRunner(jobs=jobs)
     tasks = [
         ComparisonTask(
             scenario=scenario,

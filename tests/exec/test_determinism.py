@@ -1,6 +1,5 @@
 """The headline guarantee of the execution engine: ``jobs=N`` output is
-byte-identical to ``jobs=1`` for every scenario and fault knob, and a
-cache-hit replay is byte-identical to cold compute.
+byte-identical to ``jobs=1`` for every scenario and fault knob.
 
 The comparison is field-by-field at the replicate level — per-link loss
 estimates, support counts, annotation bit lists, failure-taxonomy
@@ -62,8 +61,8 @@ MATRIX = [
         dynamic_rgg_scenario(16, churn_noise=0.6, duration=60.0, traffic_period=4.0),
         (dophy_approach(), tree_ratio_approach()),
     ),
-    # The array simulation kernel rides the same guarantee: workers and
-    # cache keys must treat engine="array" like any other config knob.
+    # The array simulation kernel rides the same guarantee: workers must
+    # treat engine="array" like any other config knob.
     (
         "line_idealized_array_engine",
         line_scenario(5, duration=60.0, traffic_period=3.0).with_config(
@@ -188,68 +187,6 @@ class TestParallelEqualsSerial:
             scenario, approaches, master_seed=11, replicates=3, jobs=JOBS
         )
         assert serial == parallel, label
-
-
-class TestCacheReplay:
-    def test_cache_hit_replay_equals_cold_compute(self, tmp_path):
-        scenario = dynamic_rgg_scenario(
-            16, churn_noise=0.6, duration=60.0, traffic_period=4.0
-        )
-        approaches = (dophy_approach(), tree_ratio_approach())
-        tasks = _tasks(scenario, approaches, master_seed=5, replicates=3)
-        cold_runner = ParallelRunner(jobs=JOBS, cache_dir=str(tmp_path))
-        cold = cold_runner.run_comparisons(tasks)
-        assert cold_runner.stats.executed == 3
-        assert cold_runner.stats.cache_hits == 0
-        warm_runner = ParallelRunner(jobs=1, cache_dir=str(tmp_path))
-        warm = warm_runner.run_comparisons(tasks)
-        assert warm_runner.stats.executed == 0, "warm rerun must execute nothing"
-        assert warm_runner.stats.cache_hits == 3
-        assert_outcomes_identical(cold, warm, "cache replay")
-
-    def test_partial_cache_computes_only_missing(self, tmp_path):
-        scenario = line_scenario(4, duration=40.0)
-        approaches = (dophy_approach(),)
-        first = _tasks(scenario, approaches, master_seed=9, replicates=2)
-        runner = ParallelRunner(jobs=1, cache_dir=str(tmp_path))
-        runner.run_comparisons(first)
-        extended = _tasks(scenario, approaches, master_seed=9, replicates=4)
-        runner.run_comparisons(extended)
-        assert runner.stats.cache_hits == 2
-        assert runner.stats.executed == 2
-
-    def test_seed_and_config_change_miss_the_cache(self, tmp_path):
-        scenario = line_scenario(4, duration=40.0)
-        runner = ParallelRunner(jobs=1, cache_dir=str(tmp_path))
-        base = ComparisonTask(
-            scenario=scenario, approaches=(dophy_approach(),), seed=1
-        )
-        runner.run_comparisons([base])
-        for variant in [
-            ComparisonTask(scenario=scenario, approaches=(dophy_approach(),), seed=2),
-            ComparisonTask(
-                scenario=scenario, approaches=(dophy_approach(),), seed=1,
-                min_support=5,
-            ),
-            ComparisonTask(
-                scenario=scenario,
-                approaches=(
-                    dophy_approach(config=DophyConfig(aggregation_threshold=4)),
-                ),
-                seed=1,
-            ),
-            # Engine selection is part of the cache key (results are
-            # identical across engines, but a stale-key collision would
-            # mask an engine bug; recompute is the conservative choice).
-            ComparisonTask(
-                scenario=scenario.with_config(engine="array"),
-                approaches=(dophy_approach(),),
-                seed=1,
-            ),
-        ]:
-            runner.run_comparisons([variant])
-            assert runner.stats.cache_hits == 0, variant
-            assert runner.stats.executed == 1, variant
 
 
 class TestSanitizedFingerprints:

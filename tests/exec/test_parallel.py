@@ -1,5 +1,5 @@
-"""Unit tests of the dispatch machinery itself: ordering, chunking,
-crashed-worker retry, per-task timeout, and error propagation.
+"""Unit tests of the dispatch machinery itself: ordering,
+crashed-worker retry, and error propagation.
 
 Worker payload functions must be module-level (the pool pickles them by
 qualified name) — the same rule production tasks live under.
@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.exec import ExecutionError, ParallelRunner
+from repro.exec.parallel import MAX_RETRIES
 
 
 def _double(x):
@@ -37,17 +38,6 @@ def _crash_once_then_return(item):
     return 2 * x
 
 
-def _hang_once_then_return(item):
-    flag, x = item
-    if not os.path.exists(flag):
-        with open(flag, "w") as fh:
-            fh.write("hung")
-        # Long enough to trip the timeout; short enough that abandoned
-        # workers don't stall interpreter shutdown.
-        time.sleep(2.0)
-    return 2 * x
-
-
 def _raise_value_error(x):
     raise ValueError(f"deterministic failure on {x}")
 
@@ -66,30 +56,18 @@ class TestMapBasics:
         out = ParallelRunner(jobs=4).map(_sleep_then_double, items)
         assert out == [2, 4, 6, 8]
 
-    def test_chunked_dispatch(self):
-        items = list(range(10))
-        runner = ParallelRunner(jobs=2, chunksize=3)
-        assert runner.map(_double, items) == [2 * x for x in items]
-        assert runner.stats.executed == 10
-
     def test_empty_input(self):
         assert ParallelRunner(jobs=2).map(_double, []) == []
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ParallelRunner(jobs=0)
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=1, chunksize=0)
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=1, max_retries=-1)
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=1, task_timeout=0)
 
 
 class TestCrashRecovery:
     def test_crashed_worker_is_retried(self, tmp_path):
         flag = str(tmp_path / "crash.flag")
-        runner = ParallelRunner(jobs=2, max_retries=2)
+        runner = ParallelRunner(jobs=2)
         out = runner.map(_crash_once_then_return, [(flag, 5), (flag, 6)])
         assert out == [10, 12]
         assert runner.stats.retries >= 1
@@ -98,32 +76,19 @@ class TestCrashRecovery:
         # The payload never creates its flag under a bogus path, so the
         # worker dies on every attempt.
         missing_dir_flag = str(tmp_path / "no" / "such" / "dir" / "f.flag")
-        runner = ParallelRunner(jobs=2, max_retries=1)
+        runner = ParallelRunner(jobs=2)
         with pytest.raises(ExecutionError, match="crash"):
             runner.map(_crash_always, [(missing_dir_flag, 1)])
+        assert runner.stats.retries == MAX_RETRIES
 
 
 def _crash_always(item):
     os._exit(13)
 
 
-class TestTimeouts:
-    def test_hung_task_is_retried_after_timeout(self, tmp_path):
-        flag = str(tmp_path / "hang.flag")
-        runner = ParallelRunner(jobs=2, task_timeout=0.5, max_retries=2)
-        out = runner.map(_hang_once_then_return, [(flag, 7)])
-        assert out == [14]
-        assert runner.stats.timeouts >= 1
-
-    def test_always_hanging_task_exhausts_retries(self):
-        runner = ParallelRunner(jobs=2, task_timeout=0.3, max_retries=1)
-        with pytest.raises(ExecutionError, match="timeout"):
-            runner.map(_sleep_then_double, [(2.0, 1)])
-
-
 class TestErrorPropagation:
     def test_task_exception_is_not_retried(self):
-        runner = ParallelRunner(jobs=2, max_retries=5)
+        runner = ParallelRunner(jobs=2)
         with pytest.raises(ExecutionError, match="ValueError"):
             runner.map(_raise_value_error, [1, 2])
         assert runner.stats.retries == 0

@@ -114,3 +114,54 @@ class TestMalformedTraces:
         path.write_text("\n" + content + "\n\n")
         header, packets = load_trace(path)
         assert len(packets) == len(run_result.packets)
+
+
+def _edit_last_delivered_hop(path, edit):
+    """Replace the last delivered packet's first hop with ``edit(hop)``;
+    returns that packet's line number."""
+    lines = path.read_text().splitlines()
+    for index in range(len(lines) - 1, -1, -1):
+        record = json.loads(lines[index])
+        if record.get("delivered_at") is not None:
+            record["hops"][0] = edit(record["hops"][0])
+            lines[index] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+            return index + 1
+    raise AssertionError("trace has no delivered packet")
+
+
+def _with_attempts(attempts):
+    return lambda hop: hop[:2] + [attempts] + hop[3:]
+
+
+class TestHopValidation:
+    @pytest.mark.parametrize("attempts", [0, 8])
+    def test_delivered_attempts_outside_the_mac_range_rejected(
+        self, run_result, tmp_path, attempts
+    ):
+        path = save_trace(run_result, tmp_path / "run.jsonl")
+        lineno = _edit_last_delivered_hop(path, _with_attempts(attempts))
+        with pytest.raises(ValueError, match=rf"line {lineno}: .* outside \[1, 6\]"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit", [lambda hop: hop[:3], lambda hop: hop + [0]], ids=["3", "5"]
+    )
+    def test_hop_that_is_not_four_fields_rejected(self, run_result, tmp_path, edit):
+        path = save_trace(run_result, tmp_path / "run.jsonl")
+        lineno = _edit_last_delivered_hop(path, edit)
+        with pytest.raises(ValueError, match=rf"line {lineno}: hop .* is not"):
+            load_trace(path)
+
+    def test_a_packet_before_the_header_is_rejected(self, run_result, tmp_path):
+        path = save_trace(run_result, tmp_path / "run.jsonl")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[1:] + lines[:1]) + "\n")
+        with pytest.raises(ValueError, match="line 1: no header line before"):
+            load_trace(path)
+
+    def test_the_mac_range_itself_is_accepted(self, run_result, tmp_path):
+        path = save_trace(run_result, tmp_path / "run.jsonl")
+        _edit_last_delivered_hop(path, _with_attempts(6))
+        _, packets = load_trace(path)
+        assert len(packets) == len(run_result.packets)

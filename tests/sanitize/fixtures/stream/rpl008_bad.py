@@ -17,7 +17,9 @@ MANIFEST = "fixture.manifest"
 def bad_round(worker, records):
     """Applies evidence before spooling it: a crash between the two
     statements replays nothing, yet the estimator already counted."""
-    delta = shard_apply_task(worker.payload(records))
+    delta = shard_apply_task(
+        worker.max_attempts, worker.truncation_correction, records
+    )
     worker.absorb(delta, len(records))
     worker.log(records)
 

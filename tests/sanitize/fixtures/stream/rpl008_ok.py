@@ -9,7 +9,9 @@ MANIFEST = "fixture.manifest"
 
 def good_round(worker, records):
     worker.log(records)
-    delta = shard_apply_task(worker.payload(records))
+    delta = shard_apply_task(
+        worker.max_attempts, worker.truncation_correction, records
+    )
     worker.absorb(delta, len(records))
 
 

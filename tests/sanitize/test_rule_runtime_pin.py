@@ -149,7 +149,10 @@ def test_apply_inside_an_open_wal_group_breaks_effect_protocol(tmp_path):
         with worker.wal.group():
             for seq, record in enumerate(records, start=1):
                 worker.wal.append(seq, record)
-            worker.absorb(shard_apply_task(worker.payload(records)), len(records))
+            delta = shard_apply_task(
+                worker.max_attempts, worker.truncation_correction, records
+            )
+            worker.absorb(delta, len(records))
     problems = verify_effect_protocol(san.fingerprint())
     assert len(problems) == 1
     assert "apply precedes the append" in problems[0]

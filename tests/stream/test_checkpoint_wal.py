@@ -498,11 +498,10 @@ class TestGroupCommit:
         path.write_bytes(b"".join(lines[:k]) + lines[k][: len(lines[k]) // 2])
 
         worker = ShardWorker(0, 3, store)
-        max_time = worker.restore()
+        worker.restore()
         assert worker.stats.replayed == k
         assert worker.seq_applied == worker.seq_logged == k
         assert worker.wal.torn_tail_dropped == 1
-        assert max_time == (group[k - 1].created_at if k else 0.0)
         expected = PerLinkEstimator(3)
         feed_estimator(expected, group[:k])
         assert worker.estimator.state_dict() == expected.state_dict()
@@ -539,7 +538,10 @@ class TestCheckpointDeletesSpoolUnread:
         worker = ShardWorker(0, 3, store)
         records = [rec(i, created_at=float(i)) for i in range(1, 6)]
         worker.log(records)
-        worker.absorb(shard_apply_task(worker.payload(records)), len(records))
+        delta = shard_apply_task(
+            worker.max_attempts, worker.truncation_correction, records
+        )
+        worker.absorb(delta, len(records))
         # Storage damage after the line was applied: line 2 fails its CRC.
         path = tmp_path / worker.wal.name
         lines = path.read_bytes().splitlines(keepends=True)

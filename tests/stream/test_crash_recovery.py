@@ -18,6 +18,8 @@ from repro.stream import (
     RetryPolicy,
     SinkConfig,
     StreamingSink,
+    load_checkpoint,
+    save_checkpoint,
 )
 from repro.stream.sink import MANIFEST
 from repro.stream.supervisor import DOWN, HEALTHY, QUARANTINED, ShardSupervisor
@@ -155,6 +157,28 @@ class TestProcessResume:
         assert estimate_fields(snaps[-1].estimates) == estimate_fields(
             uninterrupted[-1].estimates
         )
+
+    def test_resume_ignores_the_removed_pool_settings(self, bundle, new_store):
+        """A manifest from before the process-pool apply was removed
+        carries its three settings in the config; resume ignores them
+        and the next manifest no longer writes them."""
+        faults = ShardFaultPlan(seed=3, crash_rate=0.08)
+        _, uninterrupted = run_sink(bundle, new_store(), faults=faults)
+        store = new_store()
+        first = StreamingSink(bundle.max_attempts, store, CFG, faults=faults)
+        gen = first.run(bundle.records)
+        next(gen)
+        manifest = load_checkpoint(store, MANIFEST)
+        manifest["config"].update(jobs=2, task_timeout=None, max_retries=2)
+        save_checkpoint(store, MANIFEST, manifest)
+        resumed = StreamingSink.resume(store, faults=faults)
+        assert resumed.config == CFG
+        snaps = list(resumed.run(bundle.records))
+        assert estimate_fields(snaps[-1].estimates) == estimate_fields(
+            uninterrupted[-1].estimates
+        )
+        config = load_checkpoint(store, MANIFEST)["config"]
+        assert not {"jobs", "task_timeout", "max_retries"} & set(config)
 
     def test_resume_requires_the_original_stream(self, bundle, new_store):
         store = new_store()

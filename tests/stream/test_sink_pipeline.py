@@ -26,6 +26,20 @@ def batch_reference(bundle):
     return estimate_fields(batch_estimator(bundle).estimates())
 
 
+def final_estimates(bundle):
+    config = SinkConfig(n_shards=4, merge_every=4, alerts=None)
+    sink = StreamingSink(bundle.max_attempts, MemoryStore(), config)
+    return estimate_fields(list(sink.run(bundle.records))[-1].estimates)
+
+
+@pytest.mark.parametrize("n_shards", [2, 5])
+def test_shard_count_never_changes_estimates(bundle, n_shards):
+    config = SinkConfig(n_shards=n_shards, merge_every=4, alerts=None)
+    sink = StreamingSink(bundle.max_attempts, MemoryStore(), config)
+    final = estimate_fields(list(sink.run(bundle.records))[-1].estimates)
+    assert final == final_estimates(bundle)
+
+
 class TestBatchEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 3, 8])
     def test_zero_fault_stream_matches_batch(self, bundle, n_shards):
@@ -158,7 +172,7 @@ class TestQueue:
 
 class TestConfig:
     def test_roundtrip(self):
-        config = SinkConfig(n_shards=5, queue_policy="shed", jobs=2)
+        config = SinkConfig(n_shards=5, queue_policy="shed")
         assert SinkConfig.from_dict(config.to_dict()) == config
 
     def test_roundtrip_without_alerts(self):

@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import SCENARIOS, build_parser, main
 
 
@@ -73,3 +80,39 @@ class TestCommands:
         )
         assert rc == 0
         assert "12 nodes" in capsys.readouterr().out
+
+
+class TestServe:
+    def test_trace_with_an_impossible_hop_leaves_no_state(self, tmp_path):
+        """A delivered hop past the MAC's attempt range is refused while
+        the trace loads: the process exits non-zero naming the line, and
+        no manifest is written that every later --resume would replay
+        the bad record from."""
+        trace = tmp_path / "run.jsonl"
+        rc = main(
+            ["run", "--scenario", "line", "--nodes", "6", "--duration", "120",
+             "--seed", "1", "--save-trace", str(trace)]
+        )
+        assert rc == 0
+        lines = trace.read_text().splitlines()
+        max_attempts = json.loads(lines[0])["max_attempts"]
+        index = max(
+            i for i, line in enumerate(lines[1:], start=1)
+            if json.loads(line)["delivered_at"] is not None
+        )
+        record = json.loads(lines[index])
+        record["hops"][0][2] = max_attempts + 2
+        lines[index] = json.dumps(record)
+        trace.write_text("\n".join(lines) + "\n")
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        state = tmp_path / "state"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--trace", str(trace),
+             "--state-dir", str(state), "--merge-every", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode != 0
+        assert not (state / "sink.manifest").exists()
+        assert f"line {index + 1}:" in proc.stderr

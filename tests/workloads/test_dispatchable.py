@@ -94,14 +94,14 @@ def test_every_approach_runs_in_a_pool_worker(spec):
     assert list(results[0].rows) == [spec.name]
 
 
-def test_scenario_matrix_runs_in_a_pool(tmp_path):
+def test_scenario_matrix_runs_in_a_pool():
     """All scenario families dispatch through one pool in one call."""
     spec = dophy_approach()
     tasks = [
         ComparisonTask(scenario=scenario, approaches=(spec,), seed=5)
         for _, scenario in SCENARIOS
     ]
-    runner = ParallelRunner(jobs=2, cache_dir=str(tmp_path))
+    runner = ParallelRunner(jobs=2)
     results = runner.run_comparisons(tasks)
     assert len(results) == len(SCENARIOS)
     assert runner.stats.executed == len(SCENARIOS)
