@@ -1,13 +1,6 @@
 """Accuracy metrics and overhead accounting for estimator comparisons."""
 
-from repro.analysis.metrics import (
-    AccuracyReport,
-    compare_estimates,
-    error_cdf,
-    mean_absolute_error,
-    quantile_error,
-    root_mean_square_error,
-)
+from repro.analysis.metrics import AccuracyReport, compare_estimates
 from repro.analysis.energy import EnergyReport, RadioEnergyModel, energy_report
 from repro.analysis.detection import (
     DetectionReport,
@@ -15,7 +8,6 @@ from repro.analysis.detection import (
     detection_metrics,
 )
 from repro.analysis.overhead import OverheadSummary, summarize_overhead
-from repro.analysis.timeseries import EvaluationPoint, PeriodicEvaluator
 
 __all__ = [
     "EnergyReport",
@@ -24,14 +16,8 @@ __all__ = [
     "DetectionReport",
     "bad_links_from_truth",
     "detection_metrics",
-    "EvaluationPoint",
-    "PeriodicEvaluator",
     "AccuracyReport",
     "compare_estimates",
-    "error_cdf",
-    "mean_absolute_error",
-    "quantile_error",
-    "root_mean_square_error",
     "OverheadSummary",
     "summarize_overhead",
 ]

@@ -12,70 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "mean_absolute_error",
-    "root_mean_square_error",
-    "quantile_error",
-    "error_cdf",
-    "AccuracyReport",
-    "compare_estimates",
-]
+__all__ = ["AccuracyReport", "compare_estimates"]
 
 Link = Tuple[int, int]
-
-
-def _paired_errors(
-    estimates: Dict[Link, float], truth: Dict[Link, float]
-) -> List[float]:
-    return [abs(estimates[l] - truth[l]) for l in estimates.keys() & truth.keys()]
-
-
-def mean_absolute_error(
-    estimates: Dict[Link, float], truth: Dict[Link, float]
-) -> Optional[float]:
-    """Mean |estimate - truth| over links present in both maps."""
-    errs = _paired_errors(estimates, truth)
-    if not errs:
-        return None
-    return float(np.mean(errs))
-
-
-def root_mean_square_error(
-    estimates: Dict[Link, float], truth: Dict[Link, float]
-) -> Optional[float]:
-    errs = _paired_errors(estimates, truth)
-    if not errs:
-        return None
-    return float(math.sqrt(np.mean(np.square(errs))))
-
-
-def quantile_error(
-    estimates: Dict[Link, float], truth: Dict[Link, float], q: float
-) -> Optional[float]:
-    """The q-quantile (0..1) of absolute errors."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    errs = _paired_errors(estimates, truth)
-    if not errs:
-        return None
-    return float(np.quantile(errs, q))
-
-
-def error_cdf(
-    estimates: Dict[Link, float],
-    truth: Dict[Link, float],
-    points: Sequence[float] = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5),
-) -> Dict[float, float]:
-    """P(|error| <= x) at each requested x — the paper's CDF figures."""
-    errs = _paired_errors(estimates, truth)
-    if not errs:
-        return {float(x): float("nan") for x in points}
-    arr = np.asarray(errs)
-    return {float(x): float(np.mean(arr <= x)) for x in points}
 
 
 @dataclass

@@ -1,34 +1,30 @@
 """Entropy-coding substrate used by Dophy's annotation encoder.
 
-Contains a bit-level I/O layer, static and adaptive frequency models, an
-integer arithmetic coder (the workhorse behind Dophy's compact per-hop
-retransmission-count annotations), and the classical prefix codes Dophy is
-compared against in the paper's encoding-efficiency experiments.
+Contains a bit-level I/O layer, the static frequency table every node of
+an epoch codes against, an integer arithmetic coder (the workhorse behind
+Dophy's compact per-hop retransmission-count annotations), and the
+classical prefix codes Dophy is compared against in the paper's
+encoding-efficiency experiments (fixed-width, Elias gamma, Golomb–Rice).
 """
 
 from repro.coding.arithmetic import ArithmeticDecoder, ArithmeticEncoder
 from repro.coding.baseline_codes import (
-    EliasDeltaCode,
     EliasGammaCode,
     FixedWidthCode,
     GolombRiceCode,
     IntegerCode,
-    UnaryCode,
 )
 from repro.coding.bitio import BitReader, BitWriter
-from repro.coding.freq import AdaptiveFrequencyTable, FrequencyTable
+from repro.coding.freq import FrequencyTable
 
 __all__ = [
     "BitReader",
     "BitWriter",
     "FrequencyTable",
-    "AdaptiveFrequencyTable",
     "ArithmeticEncoder",
     "ArithmeticDecoder",
     "IntegerCode",
     "FixedWidthCode",
-    "UnaryCode",
     "EliasGammaCode",
-    "EliasDeltaCode",
     "GolombRiceCode",
 ]

@@ -8,10 +8,9 @@ cycle — ``encode_symbol`` any number of times, ``copy`` to fork the
 in-flight state (for would-be-size probes), and ``finish`` once.
 
 The model argument is duck-typed: anything with ``interval(symbol) ->
-(cum_lo, cum_hi, total)`` and ``symbol_for(scaled) -> symbol`` works, so
-static :class:`~repro.coding.freq.FrequencyTable` and adaptive tables are
-interchangeable, and a *sequence* of models (one per hop position) can be
-used for context modelling.
+(cum_lo, cum_hi, total)`` and ``symbol_for(scaled) -> symbol`` works, such
+as the static :class:`~repro.coding.freq.FrequencyTable`, and a *sequence*
+of models (one per hop position) can be used for context modelling.
 
 The register work is done a word at a time. When ``low`` and ``high``
 share their top ``k`` bits, renormalization shifts all ``k`` out at once

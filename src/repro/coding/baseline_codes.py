@@ -3,14 +3,13 @@
 The paper's encoding-efficiency experiments pit arithmetic coding of
 retransmission counts against straightforward alternatives a protocol
 designer would otherwise use: fixed-width fields (what plain TinyOS
-annotations do), unary, Elias gamma/delta, and Golomb–Rice. All codes here
-share one interface (:class:`IntegerCode`) encoding sequences of
-non-negative integers to a bit stream.
+annotations do), Elias gamma, and Golomb–Rice (``GolombRiceCode(0)`` is
+the unary code). All codes here share one interface (:class:`IntegerCode`)
+encoding sequences of non-negative integers to a bit stream.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import List, Sequence
 
@@ -19,11 +18,8 @@ from repro.coding.bitio import BitReader, BitWriter
 __all__ = [
     "IntegerCode",
     "FixedWidthCode",
-    "UnaryCode",
     "EliasGammaCode",
-    "EliasDeltaCode",
     "GolombRiceCode",
-    "optimal_rice_parameter",
 ]
 
 
@@ -97,22 +93,6 @@ class FixedWidthCode(IntegerCode):
         return self.width
 
 
-class UnaryCode(IntegerCode):
-    """``value`` ones then a zero. Optimal iff P(v) = 2^-(v+1)."""
-
-    name = "unary"
-
-    def encode_value(self, writer: BitWriter, value: int) -> None:
-        self._check_value(value)
-        writer.write_unary(value)
-
-    def decode_value(self, reader: BitReader) -> int:
-        return reader.read_unary()
-
-    def code_length(self, value: int) -> int:
-        return value + 1
-
-
 class EliasGammaCode(IntegerCode):
     """Elias gamma over v+1 (so 0 is encodable): unary(length) + binary tail."""
 
@@ -145,34 +125,6 @@ class EliasGammaCode(IntegerCode):
         return 2 * (value + 1).bit_length() - 1
 
 
-class EliasDeltaCode(IntegerCode):
-    """Elias delta over v+1: gamma(length) + binary tail. Better for large values."""
-
-    name = "elias_delta"
-
-    def __init__(self) -> None:
-        self._gamma = EliasGammaCode()
-
-    def encode_value(self, writer: BitWriter, value: int) -> None:
-        self._check_value(value)
-        n = value + 1
-        nbits = n.bit_length()
-        self._gamma.encode_value(writer, nbits - 1)
-        if nbits > 1:
-            writer.write_uint(n - (1 << (nbits - 1)), nbits - 1)
-
-    def decode_value(self, reader: BitReader) -> int:
-        nbits = self._gamma.decode_value(reader) + 1
-        n = 1 << (nbits - 1)
-        if nbits > 1:
-            n |= reader.read_uint(nbits - 1)
-        return n - 1
-
-    def code_length(self, value: int) -> int:
-        nbits = (value + 1).bit_length()
-        return self._gamma.code_length(nbits - 1) + (nbits - 1)
-
-
 class GolombRiceCode(IntegerCode):
     """Rice code with parameter ``k``: unary(v >> k) + k-bit remainder.
 
@@ -200,18 +152,3 @@ class GolombRiceCode(IntegerCode):
     def code_length(self, value: int) -> int:
         return (value >> self.k) + 1 + self.k
 
-
-def optimal_rice_parameter(mean_value: float) -> int:
-    """Rice parameter minimizing expected length for a geometric source.
-
-    Uses the standard approximation ``k = max(0, ceil(log2(mean)))`` with
-    the golden-ratio refinement for small means (Kiely 2004).
-    """
-    if mean_value < 0:
-        raise ValueError("mean_value must be >= 0")
-    if mean_value < 0.2:
-        return 0
-    theta = mean_value / (1.0 + mean_value)  # geometric "failure" parameter
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    k = max(0, 1 + int(math.floor(math.log2(math.log(golden) / math.log(theta)))))
-    return k

@@ -6,14 +6,10 @@ answers two queries:
 * encode side — the cumulative interval ``[cum_lo, cum_hi)`` of a symbol;
 * decode side — which symbol owns a given scaled cumulative value.
 
-Two implementations are provided. :class:`FrequencyTable` is immutable and
-is what Dophy uses operationally: every node in an epoch encodes against
-the *same* static table, so the single sink decoder stays synchronized
-with the many encoders without per-packet state. The table is re-derived
-periodically by the sink (see :mod:`repro.core.model`).
-:class:`AdaptiveFrequencyTable` (Fenwick-tree backed, increment-on-encode)
-exists for the single-stream setting and for the ablation comparing
-per-packet-adaptive against Dophy's periodic static models.
+:class:`FrequencyTable` is immutable: every node in an epoch encodes
+against the *same* static table, so the single sink decoder stays
+synchronized with the many encoders without per-packet state. The table
+is re-derived periodically by the sink (see :mod:`repro.core.model`).
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-__all__ = ["FrequencyTable", "AdaptiveFrequencyTable"]
+__all__ = ["FrequencyTable"]
 
 
 class FrequencyTable:
@@ -182,110 +178,3 @@ class FrequencyTable:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FrequencyTable(n={self.num_symbols}, total={self.total})"
 
-
-class AdaptiveFrequencyTable:
-    """Fenwick-tree-backed adaptive frequency model.
-
-    Starts uniform and increments a symbol's frequency after each
-    encode/decode, so encoder and decoder adapt in lockstep *within one
-    stream*. Unsuitable for Dophy's many-encoders-one-decoder deployment
-    (each node would adapt on its own packets only, desynchronizing from
-    the sink) — included as the natural strawman for the model-management
-    ablation and for single-stream compression uses.
-    """
-
-    def __init__(self, num_symbols: int, *, increment: int = 32, max_total: int = 1 << 24) -> None:
-        if num_symbols <= 0:
-            raise ValueError("num_symbols must be > 0")
-        if increment <= 0:
-            raise ValueError("increment must be > 0")
-        self._n = num_symbols
-        self._increment = increment
-        self._max_total = max_total
-        self._freqs = [1] * num_symbols
-        self._tree = [0] * (num_symbols + 1)
-        for i in range(num_symbols):
-            self._tree_add(i, 1)
-        self._total = num_symbols
-
-    # Fenwick primitives -------------------------------------------------------
-
-    def _tree_add(self, index: int, delta: int) -> None:
-        i = index + 1
-        while i <= self._n:
-            self._tree[i] += delta
-            i += i & (-i)
-
-    def _prefix_sum(self, index: int) -> int:
-        """Sum of frequencies of symbols < index."""
-        total = 0
-        i = index
-        while i > 0:
-            total += self._tree[i]
-            i -= i & (-i)
-        return total
-
-    # Model interface -----------------------------------------------------------
-
-    @property
-    def num_symbols(self) -> int:
-        return self._n
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    def frequency(self, symbol: int) -> int:
-        self._check_symbol(symbol)
-        return self._freqs[symbol]
-
-    def interval(self, symbol: int) -> Tuple[int, int, int]:
-        self._check_symbol(symbol)
-        lo = self._prefix_sum(symbol)
-        return lo, lo + self._freqs[symbol], self._total
-
-    def symbol_for(self, scaled_value: int) -> int:
-        if not 0 <= scaled_value < self._total:
-            raise ValueError(
-                f"scaled_value {scaled_value} out of range [0, {self._total})"
-            )
-        # Fenwick descent: find the largest index with prefix_sum <= value.
-        idx = 0
-        remaining = scaled_value
-        bitmask = 1 << (self._n.bit_length())
-        while bitmask:
-            nxt = idx + bitmask
-            if nxt <= self._n and self._tree[nxt] <= remaining:
-                idx = nxt
-                remaining -= self._tree[nxt]
-            bitmask >>= 1
-        return idx  # idx symbols have cumulative <= value => symbol index idx
-
-    def update(self, symbol: int) -> None:
-        """Record one occurrence of ``symbol`` (call after encode/decode)."""
-        self._check_symbol(symbol)
-        self._freqs[symbol] += self._increment
-        self._tree_add(symbol, self._increment)
-        self._total += self._increment
-        if self._total > self._max_total:
-            self._rescale()
-
-    def _rescale(self) -> None:
-        """Halve all frequencies (keeping them >= 1) to avoid overflow."""
-        new_freqs = [max(1, f // 2) for f in self._freqs]
-        self._freqs = new_freqs
-        self._tree = [0] * (self._n + 1)
-        for i, f in enumerate(new_freqs):
-            self._tree_add(i, f)
-        self._total = sum(new_freqs)
-
-    def snapshot(self) -> FrequencyTable:
-        """Freeze the current adaptive state into a static table."""
-        return FrequencyTable(self._freqs)
-
-    def _check_symbol(self, symbol: int) -> None:
-        if not 0 <= symbol < self._n:
-            raise ValueError(f"symbol {symbol} out of range [0, {self._n})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AdaptiveFrequencyTable(n={self._n}, total={self._total})"

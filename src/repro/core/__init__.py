@@ -17,7 +17,6 @@ The paper's contribution, built on :mod:`repro.coding` and plugged into
 
 from repro.core.annotation import AnnotationCodec, DophyAnnotation
 from repro.core.autotune import aggregation_cost_bits_per_hop, choose_aggregation_threshold
-from repro.core.bayes import BayesianLinkEstimate, BayesianLinkEstimator
 from repro.core.config import DophyConfig
 from repro.core.decoder import (
     DECODE_FAILURE_CAUSES,
@@ -47,8 +46,6 @@ __all__ = [
     "PerLinkEstimator",
     "PathRankModel",
     "SlidingLinkEstimator",
-    "BayesianLinkEstimate",
-    "BayesianLinkEstimator",
     "DophyConfig",
     "DophySystem",
     "DophyReport",

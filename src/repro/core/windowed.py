@@ -8,14 +8,12 @@ observations in a trailing window — turning Dophy's per-packet evidence
 into a link-quality *time series* (fine-grained in time as well as in
 space).
 
-Queries are incremental: each link maintains the sufficient statistics
-of the current window (see :class:`~repro.core.estimator.SuffStats`) and
-slides them as ``now`` advances — newly covered observations are added,
-expired ones subtracted — so :meth:`estimate` and :meth:`timeline` cost
-O(observations slid over), not O(window size) per query, and never
-rebuild a :class:`~repro.core.estimator.PerLinkEstimator`. Backward
-queries (a ``now`` earlier than the previous query) and :meth:`prune`
-fall back to recomputing the window aggregate from the sorted log.
+Each link keeps its observations sorted by time (a late arrival is
+inserted at its place with :mod:`bisect`). A query at ``now`` sums the
+observations in ``(now - window, now]`` into a
+:class:`~repro.core.estimator.SuffStats` and solves it with
+:func:`~repro.core.estimator.solve_batch`, so it costs O(observations in
+the window) whatever order the queries come in.
 
 Attach it to a running :class:`~repro.core.dophy.DophySystem` via
 ``dophy.add_decode_listener(sliding.add_decoded)``.
@@ -24,8 +22,7 @@ Attach it to a running :class:`~repro.core.dophy.DophySystem` via
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decoder import DecodedAnnotation
 from repro.core.estimator import LinkEstimate, SuffStats, solve_batch
@@ -35,71 +32,9 @@ __all__ = ["SlidingLinkEstimator"]
 
 Link = Tuple[int, int]
 
-#: Version tag of the serialized sliding-window state (see ``state_dict``).
-WINDOWED_STATE_SCHEMA = 1
-
-
-@dataclass
-class _TimedObservation:
-    time: float
-    #: Exact retransmission count, or None for censored.
-    retx: Optional[int]
-    #: (lo, hi) inclusive retransmission bounds when censored.
-    bounds: Optional[Tuple[int, int]]
-
-
-class _WindowState:
-    """One link's deque-style window over its observation log.
-
-    ``[start, end)`` indexes the observations inside the last queried
-    window; the aggregate fields are their sufficient statistics,
-    maintained by adding arrivals and subtracting expiries as the window
-    slides forward. ``dirty`` forces a from-scratch rebuild (set on
-    pruning; backward queries are detected via ``last_now``).
-    """
-
-    __slots__ = ("start", "end", "n_exact", "sum_retx", "censored", "last_now", "dirty")
-
-    def __init__(self) -> None:
-        self.start = 0
-        self.end = 0
-        self.n_exact = 0
-        self.sum_retx = 0
-        #: Attempt-space (lo, hi) censored interval -> count in window.
-        self.censored: Dict[Tuple[int, int], int] = {}
-        self.last_now = -float("inf")
-        self.dirty = False
-
-    def clear(self) -> None:
-        self.n_exact = 0
-        self.sum_retx = 0
-        self.censored.clear()
-
-    def add(self, obs: _TimedObservation) -> None:
-        if obs.retx is not None:
-            self.n_exact += 1
-            self.sum_retx += obs.retx
-        else:
-            assert obs.bounds is not None
-            key = (obs.bounds[0] + 1, obs.bounds[1] + 1)
-            self.censored[key] = self.censored.get(key, 0) + 1
-
-    def remove(self, obs: _TimedObservation) -> None:
-        if obs.retx is not None:
-            self.n_exact -= 1
-            self.sum_retx -= obs.retx
-        else:
-            assert obs.bounds is not None
-            key = (obs.bounds[0] + 1, obs.bounds[1] + 1)
-            left = self.censored[key] - 1
-            if left:
-                self.censored[key] = left
-            else:
-                del self.censored[key]
-
-    @property
-    def n_samples(self) -> int:
-        return self.n_exact + sum(self.censored.values())
+#: An exact retransmission count, or a censored observation's
+#: attempt-space interval ``(lo, hi)`` (inclusive, 1-based attempts).
+_Observation = Union[int, Tuple[int, int]]
 
 
 class SlidingLinkEstimator:
@@ -118,55 +53,30 @@ class SlidingLinkEstimator:
         self.max_attempts = max_attempts
         self.window = window
         self.truncation_correction = truncation_correction
+        #: Per link: observation times, ascending, and the observations
+        #: in the same order.
         self._times: Dict[Link, List[float]] = {}
-        self._obs: Dict[Link, List[_TimedObservation]] = {}
-        self._state: Dict[Link, _WindowState] = {}
+        self._obs: Dict[Link, List[_Observation]] = {}
 
     # -- feeding ---------------------------------------------------------------------
 
-    def _append(self, link: Link, obs: _TimedObservation) -> None:
-        times = self._times.get(link)
-        if times is None:
-            times = self._times[link] = []
-            self._obs[link] = []
-            self._state[link] = _WindowState()
-        obs_list = self._obs[link]
-        if times and obs.time < times[-1]:
-            # Out-of-order arrival (possible with in-flight reordering):
-            # insert at the right position to keep bisect valid, and fix
-            # up the window indices around the insertion point.
-            idx = bisect.bisect_right(times, obs.time)
-            times.insert(idx, obs.time)
-            obs_list.insert(idx, obs)
-            state = self._state[link]
-            if idx < state.start:
-                state.start += 1
-                state.end += 1
-            elif idx < state.end:
-                if obs.time > state.last_now - self.window:
-                    # Lands inside the current window span: include it.
-                    state.add(obs)
-                    state.end += 1
-                else:
-                    # At/before the cutoff (only possible at idx == start):
-                    # the span shifts right without gaining the sample.
-                    state.start += 1
-                    state.end += 1
-        else:
-            times.append(obs.time)
-            obs_list.append(obs)
+    def _insert(self, link: Link, obs: _Observation, time: float) -> None:
+        times = self._times.setdefault(link, [])
+        idx = bisect.bisect_right(times, time)
+        times.insert(idx, time)
+        self._obs.setdefault(link, []).insert(idx, obs)
 
     def add_exact(self, link: Link, retx_count: int, time: float) -> None:
         if not 0 <= retx_count <= self.max_attempts - 1:
             raise ValueError(f"retx_count {retx_count} out of range")
-        self._append(link, _TimedObservation(time, retx_count, None))
+        self._insert(link, retx_count, time)
 
     def add_censored(
         self, link: Link, retx_lo: int, retx_hi: int, time: float
     ) -> None:
         if not 0 <= retx_lo <= retx_hi <= self.max_attempts - 1:
             raise ValueError(f"censored bounds [{retx_lo}, {retx_hi}] invalid")
-        self._append(link, _TimedObservation(time, None, (retx_lo, retx_hi)))
+        self._insert(link, (retx_lo + 1, retx_hi + 1), time)
 
     def add_decoded(self, decoded: DecodedAnnotation, time: float) -> None:
         """Listener-compatible hook: feed every hop of one annotation.
@@ -184,52 +94,33 @@ class SlidingLinkEstimator:
                 lo = max(0, min(lo, hi))
                 self.add_censored(hop.link, lo, hi, time)
 
-    # -- window maintenance ------------------------------------------------------------
+    # -- queries ----------------------------------------------------------------------
 
-    def _slide(self, link: Link, now: float) -> Optional[_WindowState]:
-        """Bring ``link``'s window state to (now - window, now]."""
-        times = self._times.get(link)
-        if not times:
-            return None
-        state = self._state[link]
-        obs = self._obs[link]
-        cutoff = now - self.window
-        if state.dirty or now < state.last_now:
-            state.start = bisect.bisect_right(times, cutoff)
-            state.end = bisect.bisect_right(times, now)
-            state.clear()
-            for i in range(state.start, state.end):
-                state.add(obs[i])
-            state.dirty = False
-        else:
-            end = state.end
-            while end < len(times) and times[end] <= now:
-                state.add(obs[end])
-                end += 1
-            state.end = end
-            start = state.start
-            while start < end and times[start] <= cutoff:
-                state.remove(obs[start])
-                start += 1
-            state.start = start
-        state.last_now = now
-        return state
+    def _span(self, link: Link, now: float) -> Tuple[int, int]:
+        """Index range of ``link``'s observations in (now - window, now]."""
+        times = self._times.get(link, [])
+        return (
+            bisect.bisect_right(times, now - self.window),
+            bisect.bisect_right(times, now),
+        )
 
     def _window_suff(self, link: Link, now: float) -> Optional[SuffStats]:
-        state = self._slide(link, now)
-        if state is None or state.n_samples == 0:
+        lo, hi = self._span(link, now)
+        if lo == hi:
             return None
-        return SuffStats(link, state.n_exact, state.sum_retx, dict(state.censored))
-
-    # -- queries ----------------------------------------------------------------------
+        n_exact = sum_retx = 0
+        censored: Dict[Tuple[int, int], int] = {}
+        for obs in self._obs[link][lo:hi]:
+            if isinstance(obs, tuple):
+                censored[obs] = censored.get(obs, 0) + 1
+            else:
+                n_exact += 1
+                sum_retx += obs
+        return SuffStats(link, n_exact, sum_retx, censored)
 
     def n_samples(self, link: Link, now: float) -> int:
         """Observations within (now - window, now]."""
-        times = self._times.get(link)
-        if not times:
-            return 0
-        lo = bisect.bisect_right(times, now - self.window)
-        hi = bisect.bisect_right(times, now)
+        lo, hi = self._span(link, now)
         return hi - lo
 
     def estimate(self, link: Link, now: float) -> Optional[LinkEstimate]:
@@ -246,11 +137,9 @@ class SlidingLinkEstimator:
     def estimates(self, now: float) -> Dict[Link, LinkEstimate]:
         """Window estimates for every link with current evidence —
         one vectorized batch solve across all links."""
-        links = self.links()
-        stats = [self._window_suff(link, now) for link in links]
-        present = [s for s in stats if s is not None]
+        stats = [self._window_suff(link, now) for link in self.links()]
         results = solve_batch(
-            present,
+            [s for s in stats if s is not None],
             self.max_attempts,
             truncation_correction=self.truncation_correction,
         )
@@ -260,108 +149,15 @@ class SlidingLinkEstimator:
         self, link: Link, times: Sequence[float]
     ) -> List[Tuple[float, Optional[float]]]:
         """(time, windowed loss estimate) at each requested time — the
-        link-quality time series a network manager would plot.
-
-        For ascending ``times`` (the common case) the window slides
-        incrementally across the whole sweep: total cost is one pass
-        over the link's observations plus one solve per query point.
-        """
+        link-quality time series a network manager would plot."""
         out: List[Tuple[float, Optional[float]]] = []
         for t in times:
             est = self.estimate(link, t)
             out.append((t, est.loss if est is not None else None))
         return out
 
-    def prune(self, before: float) -> int:
-        """Drop observations older than ``before``; returns count removed."""
-        removed = 0
-        for link in list(self._times):
-            times = self._times[link]
-            cut = bisect.bisect_left(times, before)
-            if cut:
-                del times[:cut]
-                del self._obs[link][:cut]
-                removed += cut
-                state = self._state[link]
-                state.start = max(0, state.start - cut)
-                state.end = max(0, state.end - cut)
-                state.dirty = True
-            if not times:
-                del self._times[link]
-                del self._obs[link]
-                del self._state[link]
-        return removed
-
     def links(self) -> List[Link]:
         return sorted(self._times.keys())
-
-    # -- serialization ----------------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of the time-stamped observation log.
-
-        Window spans and running aggregates are *derived* state and are
-        not serialized; :meth:`from_state` rebuilds them lazily on the
-        first query, which is bitwise-equivalent to never having been
-        serialized at all.
-        """
-        links: List[Dict[str, Any]] = []
-        for link in self.links():
-            links.append(
-                {
-                    "link": [link[0], link[1]],
-                    "obs": [
-                        [o.time, o.retx, None if o.bounds is None else list(o.bounds)]
-                        for o in self._obs[link]
-                    ],
-                }
-            )
-        return {
-            "schema": WINDOWED_STATE_SCHEMA,
-            "max_attempts": self.max_attempts,
-            "window": self.window,
-            "truncation_correction": self.truncation_correction,
-            "links": links,
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "SlidingLinkEstimator":
-        """Rebuild a sliding estimator from :meth:`state_dict` output.
-
-        Raises ``ValueError`` on schema mismatches or malformed payloads.
-        """
-        schema = state.get("schema")
-        if schema != WINDOWED_STATE_SCHEMA:
-            raise ValueError(
-                f"unsupported windowed state schema {schema!r} "
-                f"(expected {WINDOWED_STATE_SCHEMA})"
-            )
-        est = cls(
-            int(state["max_attempts"]),
-            float(state["window"]),
-            truncation_correction=bool(state["truncation_correction"]),
-        )
-        for entry in state["links"]:
-            u, v = entry["link"]
-            link = (int(u), int(v))
-            last_time = -float("inf")
-            for time, retx, bounds in entry["obs"]:
-                time = float(time)
-                if time < last_time:
-                    raise ValueError(
-                        f"observation times for link {link} not sorted"
-                    )
-                last_time = time
-                if retx is not None:
-                    est.add_exact(link, int(retx), time)
-                else:
-                    if bounds is None:
-                        raise ValueError(
-                            f"observation for link {link} has neither exact "
-                            "count nor censored bounds"
-                        )
-                    est.add_censored(link, int(bounds[0]), int(bounds[1]), time)
-        return est
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         total = sum(len(v) for v in self._obs.values())

@@ -93,12 +93,11 @@ class ExecutionStats:
     """What one engine invocation did (exposed as ``runner.stats``)."""
 
     tasks: int = 0
-    executed: int = 0
     retries: int = 0
     wall_seconds: float = 0.0
 
     def describe(self) -> str:
-        parts = [f"tasks={self.tasks}", f"executed={self.executed}"]
+        parts = [f"tasks={self.tasks}"]
         if self.retries:
             parts.append(f"retries={self.retries}")
         parts.append(f"wall={self.wall_seconds:.2f}s")
@@ -153,7 +152,7 @@ class ParallelRunner:
         # Host-clock reads below only feed ExecutionStats; results are
         # collected positionally, so timing never changes output.
         t0 = time.monotonic()  # reprolint: disable=RPL002
-        self.stats = ExecutionStats(tasks=len(items), executed=len(items))
+        self.stats = ExecutionStats(tasks=len(items))
         out = self._dispatch(fn, list(items))
         self.stats.wall_seconds = time.monotonic() - t0  # reprolint: disable=RPL002
         return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.net.packet import Packet
 from repro.net.simulation import SimulationResult
@@ -31,6 +31,7 @@ __all__ = [
     "TracePacket",
     "save_trace",
     "load_trace",
+    "feed_estimator",
     "replay_into_estimator",
     "truth_from_header",
 ]
@@ -189,6 +190,41 @@ def load_trace(path: PathLike) -> Tuple[TraceHeader, List[TracePacket]]:
     return header, packets
 
 
+def feed_estimator(
+    estimator: "PerLinkEstimator",
+    packets: Iterable[Any],
+    *,
+    delivered_only: bool = True,
+) -> int:
+    """Feed recorded packets' hop evidence into an estimator; returns hops added.
+
+    This is the **single** evidence rule for recorded hops: the batch
+    replay below and the streaming sink (which imports it as
+    ``repro.stream.records.feed_estimator``) both go through it, which is
+    what makes "zero-fault streaming is bit-identical to the batch sink"
+    a structural property rather than a coincidence. A packet is anything
+    with ``delivered``, ``created_at`` and ``(sender, receiver, attempts,
+    delivered)`` ``hops``: a :class:`TracePacket` or a streaming record.
+
+    ``delivered_only=True`` replicates what an in-band annotation system
+    can observe (evidence from dropped packets never reaches the sink);
+    False replays every successful hop — the out-of-band upper bound.
+    Only successful hops carry an attempt count.
+    """
+    added = 0
+    for packet in packets:
+        if delivered_only and not packet.delivered:
+            continue
+        for sender, receiver, attempts, delivered in packet.hops:
+            if not delivered:
+                continue
+            estimator.add_exact(
+                (sender, receiver), attempts - 1, packet.created_at
+            )
+            added += 1
+    return added
+
+
 def replay_into_estimator(
     header: TraceHeader,
     packets: Iterable[TracePacket],
@@ -196,11 +232,8 @@ def replay_into_estimator(
     estimator: "Optional[PerLinkEstimator]" = None,
     delivered_only: bool = True,
 ) -> "PerLinkEstimator":
-    """Feed a trace's hop evidence into a per-link estimator.
-
-    ``delivered_only=True`` replicates what an in-band annotation system
-    can observe (evidence from dropped packets never reaches the sink);
-    False replays every successful hop — the out-of-band upper bound.
+    """Feed a trace's hop evidence into a per-link estimator
+    (:func:`feed_estimator`; a new one when ``estimator`` is None).
 
     Hop attempts in traces are sender-side counts, which equal the
     receiver's first-arrival attempt under perfect ACKs (the simulator
@@ -209,15 +242,7 @@ def replay_into_estimator(
     from repro.core.estimator import PerLinkEstimator
 
     est = estimator or PerLinkEstimator(max_attempts=header.max_attempts)
-    for packet in packets:
-        if delivered_only and not packet.delivered:
-            continue
-        for sender, receiver, attempts, delivered in packet.hops:
-            if not delivered:
-                continue
-            est.add_exact(
-                (sender, receiver), attempts - 1, packet.created_at
-            )
+    feed_estimator(est, packets, delivered_only=delivered_only)
     return est
 
 

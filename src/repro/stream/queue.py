@@ -8,10 +8,11 @@ reporting fan-in outpaces its estimator workers. The queue between them
 is *bounded* and the overflow behaviour is a named policy, never an
 accident:
 
-* ``block`` — a full queue refuses the record and the **source is
-  paced**: ingestion stops pulling until service catches up. Nothing is
-  lost; latency grows. (For a trace replay this is flow control; for a
-  live UDP sink it would be socket-buffer pushback.)
+* ``block`` — the **source is paced**: the sink checks :attr:`full`
+  before it pulls a record and, while the queue is full, stops pulling
+  until service catches up (each such round counts as ``blocked``).
+  Nothing is lost; latency grows. (For a trace replay this is flow
+  control; for a live UDP sink it would be socket-buffer pushback.)
 * ``shed`` — a full queue **drops the newest arrival** (counted, and
   per-link shed evidence is observable via the sink's stats). Latency
   stays bounded; estimate quality degrades smoothly — bench A8 measures
@@ -41,6 +42,7 @@ class QueueStats:
     offered: int = 0
     accepted: int = 0
     shed: int = 0
+    #: Ingest rounds the sink paused on a full queue under ``block``.
     blocked: int = 0
     high_water: int = 0
 
@@ -66,18 +68,14 @@ class BoundedPacketQueue:
         return len(self._items) >= self.capacity
 
     def offer(self, record: PacketRecord) -> bool:
-        """Try to enqueue; returns False when the record was not accepted.
+        """Try to enqueue; returns False when the record was shed.
 
-        Under ``block`` a False return means "stop pulling the source
-        and re-offer this record later"; under ``shed`` it means the
-        record is gone for good (already counted as shed).
+        A full queue drops the offered record for good (counted as
+        shed). Under ``block`` the sink never offers to a full queue.
         """
         self.stats.offered += 1
         if self.full:
-            if self.policy == "shed":
-                self.stats.shed += 1
-            else:
-                self.stats.blocked += 1
+            self.stats.shed += 1
             return False
         self._items.append(record)
         self.stats.accepted += 1

@@ -4,7 +4,9 @@ The streaming sink holds packet evidence in its bounded ingest queue,
 writes it to the per-shard write-ahead spool, and saves the queued part
 in its manifest, so the unit of work must be a small, immutable and
 JSON-able value. :class:`PacketRecord` is that unit: one packet's
-journey reduced to exactly what the estimator consumes.
+journey reduced to exactly what the estimator consumes, fed to it by
+:func:`~repro.net.tracefile.feed_estimator` (re-exported here), the
+evidence rule trace replay uses too.
 
 Shard assignment must be identical in every process and across restarts
 (Python's builtin ``hash`` is salted per process), so :func:`shard_index`
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.core.estimator import PerLinkEstimator
+from repro.net.tracefile import feed_estimator
 
 __all__ = [
     "PacketRecord",
@@ -82,32 +84,6 @@ def shard_index(origin: int, seqno: int, n_shards: int) -> int:
             acc ^= byte
             acc = (acc * 0x01000193) & 0xFFFFFFFF
     return acc % n_shards
-
-
-def feed_estimator(
-    estimator: PerLinkEstimator, records: Iterable[PacketRecord]
-) -> int:
-    """Feed records' hop evidence into an estimator; returns hops added.
-
-    This is the **single** evidence rule of the streaming sink, and it
-    deliberately mirrors :func:`repro.net.tracefile.replay_into_estimator`
-    with ``delivered_only=True``: only delivered packets reach the sink
-    in-band, and only delivered hops carry an attempt count. Keeping one
-    rule in one place is what makes "zero-fault streaming is bit-identical
-    to the batch sink" a structural property rather than a coincidence.
-    """
-    added = 0
-    for record in records:
-        if not record.delivered:
-            continue
-        for sender, receiver, attempts, delivered in record.hops:
-            if not delivered:
-                continue
-            estimator.add_exact(
-                (sender, receiver), attempts - 1, record.created_at
-            )
-            added += 1
-    return added
 
 
 def evidence_links(records: Iterable[PacketRecord]) -> List[Tuple[int, int]]:

@@ -6,52 +6,47 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import (
-    compare_estimates,
-    error_cdf,
-    mean_absolute_error,
-    quantile_error,
-    root_mean_square_error,
-)
+from repro.analysis.metrics import compare_estimates
 
 TRUTH = {(1, 0): 0.1, (2, 1): 0.3, (3, 2): 0.5}
 
 
 class TestBasicMetrics:
     def test_perfect_estimates(self):
-        assert mean_absolute_error(dict(TRUTH), TRUTH) == 0.0
-        assert root_mean_square_error(dict(TRUTH), TRUTH) == 0.0
+        report = compare_estimates(dict(TRUTH), TRUTH)
+        assert report.mae == 0.0
+        assert report.rmse == 0.0
 
     def test_known_errors(self):
         est = {(1, 0): 0.2, (2, 1): 0.3, (3, 2): 0.4}
-        assert mean_absolute_error(est, TRUTH) == pytest.approx(0.2 / 3)
-        assert root_mean_square_error(est, TRUTH) == pytest.approx(
-            math.sqrt((0.01 + 0 + 0.01) / 3)
-        )
+        report = compare_estimates(est, TRUTH)
+        assert report.mae == pytest.approx(0.2 / 3)
+        assert report.rmse == pytest.approx(math.sqrt((0.01 + 0 + 0.01) / 3))
 
     def test_disjoint_links_give_none(self):
-        assert mean_absolute_error({(9, 9): 0.5}, TRUTH) is None
-        assert root_mean_square_error({}, TRUTH) is None
+        assert compare_estimates({(9, 9): 0.5}, TRUTH).mae is None
+        assert compare_estimates({}, TRUTH).rmse is None
 
     def test_partial_overlap_uses_common_links_only(self):
         est = {(1, 0): 0.1, (9, 9): 0.99}
-        assert mean_absolute_error(est, TRUTH) == 0.0
+        assert compare_estimates(est, TRUTH).mae == 0.0
 
     def test_quantile(self):
         est = {(1, 0): 0.1, (2, 1): 0.4, (3, 2): 0.8}
-        assert quantile_error(est, TRUTH, 1.0) == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            quantile_error(est, TRUTH, 1.5)
+        report = compare_estimates(est, TRUTH)
+        assert report.max_error == pytest.approx(0.3)
+        assert report.median_error == pytest.approx(0.1)
+        assert report.p90_error == pytest.approx(0.26)
 
     def test_error_cdf(self):
         est = {(1, 0): 0.11, (2, 1): 0.35, (3, 2): 0.9}
-        cdf = error_cdf(est, TRUTH, points=(0.02, 0.1, 0.5))
+        cdf = compare_estimates(est, TRUTH, cdf_points=(0.02, 0.1, 0.5)).cdf
         assert cdf[0.02] == pytest.approx(1 / 3)
         assert cdf[0.1] == pytest.approx(2 / 3)
         assert cdf[0.5] == 1.0
 
     def test_error_cdf_empty(self):
-        cdf = error_cdf({}, TRUTH, points=(0.1,))
+        cdf = compare_estimates({}, TRUTH, cdf_points=(0.1,)).cdf
         assert math.isnan(cdf[0.1])
 
 
@@ -97,8 +92,8 @@ class TestCompareEstimates:
 def test_property_mae_bounds_shift(truth, shift):
     """Shifting every estimate by s yields MAE close to s (clipped at 1)."""
     est = {l: min(1.0, v + shift) for l, v in truth.items()}
-    mae = mean_absolute_error(est, truth)
+    report = compare_estimates(est, truth)
+    mae, rmse = report.mae, report.rmse
     assert mae <= shift + 1e-12
-    rmse = root_mean_square_error(est, truth)
     assert rmse <= shift + 1e-12
     assert rmse >= mae - 1e-12 or math.isclose(rmse, mae)

@@ -12,7 +12,7 @@ from repro.coding.arithmetic import (
     ArithmeticDecoder,
     ArithmeticEncoder,
 )
-from repro.coding.freq import AdaptiveFrequencyTable, FrequencyTable
+from repro.coding.freq import FrequencyTable
 
 
 def roundtrip(model, symbols):
@@ -74,23 +74,6 @@ class TestRoundTrip:
         data, nbits = enc.finish()
         dec = ArithmeticDecoder(data, nbits)
         assert [dec.decode_symbol(m) for m in models] == seq
-
-    def test_adaptive_model_roundtrip(self):
-        seq = [0, 0, 1, 0, 2, 2, 2, 0, 1, 2, 2, 2, 2]
-        enc_model = AdaptiveFrequencyTable(3)
-        enc = ArithmeticEncoder()
-        for s in seq:
-            enc.encode_symbol(enc_model, s)
-            enc_model.update(s)
-        data, nbits = enc.finish()
-        dec_model = AdaptiveFrequencyTable(3)
-        dec = ArithmeticDecoder(data, nbits)
-        out = []
-        for _ in seq:
-            s = dec.decode_symbol(dec_model)
-            dec_model.update(s)
-            out.append(s)
-        assert out == seq
 
     def test_from_encoder_output_helper(self):
         model = FrequencyTable([3, 1])

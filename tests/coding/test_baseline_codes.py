@@ -1,24 +1,19 @@
-"""Tests for the baseline prefix codes (fixed-width, unary, Elias, Rice)."""
+"""Tests for the baseline prefix codes (fixed-width, Elias gamma, Rice)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.coding.baseline_codes import (
-    EliasDeltaCode,
     EliasGammaCode,
     FixedWidthCode,
     GolombRiceCode,
-    UnaryCode,
-    optimal_rice_parameter,
 )
 from repro.coding.bitio import BitReader
 
 ALL_CODES = [
     FixedWidthCode(8),
-    UnaryCode(),
     EliasGammaCode(),
-    EliasDeltaCode(),
     GolombRiceCode(0),
     GolombRiceCode(1),
     GolombRiceCode(3),
@@ -68,13 +63,6 @@ class TestFixedWidth:
             FixedWidthCode(0)
 
 
-class TestUnary:
-    def test_lengths(self):
-        code = UnaryCode()
-        assert code.code_length(0) == 1
-        assert code.code_length(5) == 6
-
-
 class TestEliasGamma:
     def test_known_codewords(self):
         # gamma over v+1: value 0 -> "1"; value 1 -> "010"; value 2 -> "011".
@@ -91,23 +79,13 @@ class TestEliasGamma:
         assert code.code_length(1000) == 19
 
 
-class TestEliasDelta:
-    def test_shorter_than_gamma_for_large_values(self):
-        gamma, delta = EliasGammaCode(), EliasDeltaCode()
-        assert delta.code_length(10_000) < gamma.code_length(10_000)
-
-    def test_value_zero(self):
-        code = EliasDeltaCode()
-        w = code.encode_sequence([0])
-        r = BitReader(w.getvalue(), w.bit_length)
-        assert code.decode_value(r) == 0
-
-
 class TestGolombRice:
     def test_k0_equals_unary(self):
-        rice0, unary = GolombRiceCode(0), UnaryCode()
+        """Rice with k=0 is the unary code: v ones, then a zero."""
+        rice0 = GolombRiceCode(0)
         for v in range(10):
-            assert rice0.code_length(v) == unary.code_length(v)
+            assert rice0.encode_sequence([v]).to_bits() == [1] * v + [0]
+            assert rice0.code_length(v) == v + 1
 
     def test_known_codeword(self):
         # k=2, v=6: quotient 1 -> "10", remainder 2 -> "10".
@@ -119,48 +97,11 @@ class TestGolombRice:
             GolombRiceCode(-1)
 
 
-class TestOptimalRiceParameter:
-    def test_small_mean_gives_zero(self):
-        assert optimal_rice_parameter(0.05) == 0
-        assert optimal_rice_parameter(0.0) == 0
-
-    def test_monotone_in_mean(self):
-        ks = [optimal_rice_parameter(m) for m in [0.3, 1.0, 4.0, 16.0, 64.0]]
-        assert ks == sorted(ks)
-        assert ks[-1] >= 4
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            optimal_rice_parameter(-1.0)
-
-    def test_chosen_k_is_near_optimal_for_geometric(self):
-        """The selected k is within 5% of the best k's expected length."""
-        import math
-
-        mean = 3.0
-        p_success = 1.0 / (1.0 + mean)
-
-        def expected_length(k):
-            # E[len] under geometric(mean), truncated sum.
-            total, prob_mass = 0.0, 0.0
-            for v in range(2000):
-                p = p_success * (1 - p_success) ** v
-                total += p * GolombRiceCode(k).code_length(v)
-                prob_mass += p
-            return total / prob_mass
-
-        chosen = optimal_rice_parameter(mean)
-        best = min(range(8), key=expected_length)
-        assert expected_length(chosen) <= expected_length(best) * 1.05
-
-
 @given(
     st.lists(st.integers(min_value=0, max_value=100_000), max_size=30),
 )
 def test_property_variable_length_codes_roundtrip(values):
-    for code in [UnaryCode(), EliasGammaCode(), EliasDeltaCode(), GolombRiceCode(2)]:
-        if code.name == "unary" and any(v > 300 for v in values):
-            continue  # unary length explodes; skip pathological sizes
+    for code in [EliasGammaCode(), GolombRiceCode(2)]:
         writer = code.encode_sequence(values)
         reader = BitReader(writer.getvalue(), writer.bit_length)
         assert code.decode_sequence(reader, len(values)) == values

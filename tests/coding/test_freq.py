@@ -1,4 +1,4 @@
-"""Tests for static and adaptive frequency tables."""
+"""Tests for the static frequency table."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coding.freq import AdaptiveFrequencyTable, FrequencyTable
+from repro.coding.freq import FrequencyTable
 
 
 class TestFrequencyTable:
@@ -104,68 +104,6 @@ class TestFrequencyTable:
         assert a != c
 
 
-class TestAdaptiveFrequencyTable:
-    def test_starts_uniform(self):
-        t = AdaptiveFrequencyTable(4)
-        assert t.total == 4
-        assert all(t.frequency(s) == 1 for s in range(4))
-
-    def test_update_shifts_mass(self):
-        t = AdaptiveFrequencyTable(3, increment=10)
-        t.update(1)
-        assert t.frequency(1) == 11
-        assert t.total == 13
-        lo, hi, total = t.interval(1)
-        assert (hi - lo) == 11 and total == 13
-
-    def test_intervals_partition_total(self):
-        t = AdaptiveFrequencyTable(5, increment=7)
-        for s in [0, 2, 2, 4, 1, 2]:
-            t.update(s)
-        edges = [t.interval(s) for s in range(5)]
-        assert edges[0][0] == 0
-        for prev, cur in zip(edges, edges[1:]):
-            assert prev[1] == cur[0]
-        assert edges[-1][1] == t.total
-
-    def test_symbol_for_matches_intervals(self):
-        t = AdaptiveFrequencyTable(4, increment=5)
-        for s in [3, 3, 0, 1]:
-            t.update(s)
-        for sym in range(4):
-            lo, hi, _ = t.interval(sym)
-            for v in (lo, hi - 1):
-                assert t.symbol_for(v) == sym
-
-    def test_rescale_keeps_symbols_encodable(self):
-        t = AdaptiveFrequencyTable(3, increment=1000, max_total=5000)
-        for _ in range(100):
-            t.update(0)
-        assert t.total <= 5000 + 1000
-        assert all(t.frequency(s) >= 1 for s in range(3))
-
-    def test_snapshot_freezes_state(self):
-        t = AdaptiveFrequencyTable(3, increment=2)
-        t.update(2)
-        snap = t.snapshot()
-        t.update(0)
-        assert snap.frequency(2) == 3
-        assert snap.frequency(0) == 1  # pre-update value
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            AdaptiveFrequencyTable(0)
-        with pytest.raises(ValueError):
-            AdaptiveFrequencyTable(2, increment=0)
-
-    def test_symbol_out_of_range(self):
-        t = AdaptiveFrequencyTable(2)
-        with pytest.raises(ValueError):
-            t.update(2)
-        with pytest.raises(ValueError):
-            t.interval(-1)
-
-
 @given(st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=20))
 def test_property_static_intervals_partition(freqs):
     """Static-table intervals tile [0, total) exactly."""
@@ -188,22 +126,3 @@ def test_property_symbol_for_inverts_interval(freqs, data):
     sym = t.symbol_for(value)
     lo, hi, _ = t.interval(sym)
     assert lo <= value < hi
-
-
-@given(
-    st.integers(min_value=1, max_value=10),
-    st.lists(st.integers(min_value=0, max_value=9), max_size=60),
-)
-def test_property_adaptive_consistency(n, updates):
-    """Adaptive table keeps interval/symbol_for consistent after any update sequence."""
-    t = AdaptiveFrequencyTable(n, increment=3)
-    for u in updates:
-        t.update(u % n)
-    cursor = 0
-    for s in range(n):
-        lo, hi, total = t.interval(s)
-        assert lo == cursor and total == t.total
-        assert t.symbol_for(lo) == s
-        assert t.symbol_for(hi - 1) == s
-        cursor = hi
-    assert cursor == t.total

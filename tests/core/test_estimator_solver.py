@@ -301,20 +301,6 @@ class TestSlidingIncremental:
                 if got is not None:
                     assert got.loss == pytest.approx(want.loss, abs=1e-12)
 
-    def test_prune_then_query_matches_rebuild(self):
-        rng = np.random.default_rng(24)
-        A, W = 8, 10.0
-        sliding = SlidingLinkEstimator(max_attempts=A, window=W)
-        events = self._random_events(rng, 300, A)
-        self._feed(sliding, events)
-        horizon = events[-1][0]
-        sliding.estimate(self.LINK, horizon)  # warm the window state
-        sliding.prune(before=horizon - 3 * W)
-        kept = [e for e in events if e[0] >= horizon - 3 * W]
-        got = sliding.estimate(self.LINK, horizon)
-        want = self._reference(kept, horizon, W, A)
-        assert got.loss == pytest.approx(want.loss, abs=1e-12)
-
     def test_batched_estimates_across_links(self):
         rng = np.random.default_rng(25)
         A, W = 8, 20.0

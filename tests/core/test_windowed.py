@@ -90,17 +90,6 @@ class TestWindowing:
         result = est.estimate(LINK, now=100.0)
         assert abs(result.loss - 0.5) < 0.06
 
-    def test_prune(self):
-        est = SlidingLinkEstimator(max_attempts=31, window=10.0)
-        for t in range(20):
-            est.add_exact(LINK, 0, time=float(t))
-        removed = est.prune(before=10.0)
-        assert removed == 10
-        assert est.n_samples(LINK, now=19.0) == 10
-        # Pruning everything drops the link.
-        est.prune(before=100.0)
-        assert est.links() == []
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SlidingLinkEstimator(max_attempts=0, window=1.0)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.metrics import mean_absolute_error
+from repro.analysis.metrics import compare_estimates
 from repro.net.link import uniform_loss_assigner
 from repro.net.mac import MacConfig
 from repro.net.routing import RoutingConfig
@@ -75,7 +75,7 @@ class TestReplay:
         est = replay_into_estimator(header, packets)
         truth = truth_from_header(header)
         losses = {l: e.loss for l, e in est.estimates().items()}
-        mae = mean_absolute_error(losses, truth)
+        mae = compare_estimates(losses, truth).mae
         assert mae is not None and mae < 0.05
 
     def test_delivered_only_vs_all(self, run_result, tmp_path):

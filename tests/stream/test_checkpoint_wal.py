@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import PerLinkEstimator
-from repro.core.windowed import SlidingLinkEstimator
 from repro.stream import (
     CheckpointError,
     DirectoryStore,
@@ -661,19 +660,3 @@ class TestStateRoundTrips:
         state["links"][0]["n_exact"] = -1
         with pytest.raises(ValueError):
             PerLinkEstimator.from_state(state)
-
-    def test_windowed_roundtrip(self):
-        est = SlidingLinkEstimator(3, window=30.0)
-        est.add_exact((0, 1), 1, 5.0)
-        est.add_exact((0, 1), 0, 12.0)
-        est.add_censored((1, 2), 1, 2, 20.0)
-        clone = SlidingLinkEstimator.from_state(est.state_dict())
-        assert clone.state_dict() == est.state_dict()
-        assert clone.estimates(25.0).keys() == est.estimates(25.0).keys()
-
-    def test_windowed_rejects_unknown_schema(self):
-        est = SlidingLinkEstimator(3, window=30.0)
-        state = est.state_dict()
-        state["schema"] = 42
-        with pytest.raises(ValueError):
-            SlidingLinkEstimator.from_state(state)

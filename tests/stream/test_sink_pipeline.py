@@ -69,6 +69,8 @@ class TestBatchEquivalence:
         sink = StreamingSink(bundle.max_attempts, MemoryStore(), config)
         final = list(sink.run(bundle.records))[-1]
         assert sink.queue.stats.blocked > 0
+        assert sink.queue.stats.blocked <= sink.stats.rounds
+        assert sink.queue.stats.offered == sink.queue.stats.accepted
         assert sink.queue.stats.shed == 0
         assert estimate_fields(final.estimates) == batch_reference(bundle)
 

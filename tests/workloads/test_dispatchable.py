@@ -104,6 +104,6 @@ def test_scenario_matrix_runs_in_a_pool():
     runner = ParallelRunner(jobs=2)
     results = runner.run_comparisons(tasks)
     assert len(results) == len(SCENARIOS)
-    assert runner.stats.executed == len(SCENARIOS)
+    assert runner.stats.tasks == len(SCENARIOS)
     serial = ParallelRunner(jobs=1).run_comparisons(tasks)
     assert results == serial
