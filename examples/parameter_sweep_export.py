@@ -49,9 +49,10 @@ def main() -> None:
                     },
                 )
             )
-    outdir = pathlib.Path(tempfile.mkdtemp(prefix="dophy_sweep_"))
-    csv_path = write_csv(records, outdir / "sweep.csv")
-    json_path = write_json(records, outdir / "sweep.json")
+    with tempfile.TemporaryDirectory(prefix="dophy_sweep_") as tmp:
+        outdir = pathlib.Path(tmp)
+        csv_path = write_csv(records, outdir / "sweep.csv")
+        json_path = write_json(records, outdir / "sweep.json")
 
     # Quick on-screen digest: mean MAE per (noise, approach).
     from collections import defaultdict
@@ -70,7 +71,7 @@ def main() -> None:
             precision=4,
         )
     )
-    print(f"\nwrote {len(records)} records to:\n  {csv_path}\n  {json_path}")
+    print(f"\nwrote {len(records)} records to:\n  {csv_path.name}\n  {json_path.name}")
 
 
 if __name__ == "__main__":

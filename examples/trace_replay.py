@@ -51,16 +51,18 @@ def main() -> None:
         link_assigner=uniform_loss_assigner(0.1, 0.45),
     )
     result = sim.run()
-    trace_path = pathlib.Path(tempfile.mkdtemp(prefix="dophy_trace_")) / "run.jsonl"
-    save_trace(result, trace_path)
-    size_kb = trace_path.stat().st_size / 1024
-    print(
-        f"recorded {len(result.packets)} packets "
-        f"(delivery {result.delivery_ratio:.1%}) to {trace_path} ({size_kb:.0f} KiB)\n"
-    )
+    with tempfile.TemporaryDirectory(prefix="dophy_trace_") as tmp:
+        trace_path = pathlib.Path(tmp) / "run.jsonl"
+        save_trace(result, trace_path)
+        size_kb = trace_path.stat().st_size / 1024
+        print(
+            f"recorded {len(result.packets)} packets "
+            f"(delivery {result.delivery_ratio:.1%}) to {trace_path.name} "
+            f"({size_kb:.0f} KiB)\n"
+        )
 
-    # 2. Replay offline.
-    header, packets = load_trace(trace_path)
+        # 2. Replay offline.
+        header, packets = load_trace(trace_path)
     truth = truth_from_header(header)
     rows = []
     for label, delivered_only in [("in-band (delivered only)", True),

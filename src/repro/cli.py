@@ -137,8 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if report.decode_failures or report.duplicate_deliveries:
         causes = report.decode_failure_causes
         parts = [f"{cause}={n}" for cause, n in sorted(causes.items()) if n]
-        if report.sink_outage_discards:
-            parts.append(f"sink_outage={report.sink_outage_discards}")
         if report.duplicate_deliveries:
             parts.append(f"duplicates={report.duplicate_deliveries}")
         if report.salvaged_packets:

@@ -17,7 +17,10 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-__all__ = ["FrequencyTable"]
+__all__ = ["FrequencyTable", "BITS_PER_FREQUENCY"]
+
+#: Bits per quantized frequency in a disseminated table.
+BITS_PER_FREQUENCY = 12
 
 
 class FrequencyTable:
@@ -136,30 +139,14 @@ class FrequencyTable:
         """Shannon entropy (bits/symbol) of the table's distribution."""
         return -sum(p * math.log2(p) for p in self.probabilities() if p > 0)
 
-    def expected_code_length(self, true_probabilities: Sequence[float]) -> float:
-        """Cross-entropy (bits/symbol) of coding ``true_probabilities`` with this model.
-
-        This is the asymptotic per-symbol cost an arithmetic coder pays when
-        the source follows ``true_probabilities`` but the code uses this
-        table — the quantity Dophy's periodic model updates minimize.
-        """
-        if len(true_probabilities) != self.num_symbols:
-            raise ValueError("distribution length mismatch")
-        model = self.probabilities()
-        cost = 0.0
-        for p_true, p_model in zip(true_probabilities, model):
-            if p_true > 0:
-                cost -= p_true * math.log2(p_model)
-        return cost
-
-    def serialized_size_bits(self, *, bits_per_frequency: int = 12) -> int:
+    def serialized_size_bits(self) -> int:
         """Bits needed to disseminate this table to the network.
 
         Dophy broadcasts updated models; this is the payload cost counted by
         the overhead accounting (one quantized frequency per symbol plus a
         symbol-count byte).
         """
-        return 8 + self.num_symbols * bits_per_frequency
+        return 8 + self.num_symbols * BITS_PER_FREQUENCY
 
     # -- misc ------------------------------------------------------------------
 

@@ -93,20 +93,15 @@ class AnnotationCodec:
 
     # -- encoding ---------------------------------------------------------------
 
-    def new_annotation(
-        self, time: Optional[float] = None, origin: Optional[int] = None
-    ) -> DophyAnnotation:
-        """Fresh annotation pinned to the model epoch active at ``time``.
+    def new_annotation(self, origin: Optional[int] = None) -> DophyAnnotation:
+        """Fresh annotation pinned to the newest model epoch.
 
-        Without a time the newest epoch is used (zero-delay dissemination).
         Under lossy dissemination (per-node epoch tracking) the packet is
         pinned to ``origin``'s *locally received* epoch instead — a stale
         origin keeps encoding against the last model it actually got.
         """
         if origin is not None and self.models.per_node_epochs:
             epoch = self.models.epoch_of_node(origin)
-        elif time is not None:
-            epoch = self.models.current_epoch_for(time)
         else:
             epoch = self.models.current_epoch
         # Nodes keep the last model they received, so this lookup also

@@ -22,6 +22,7 @@ import math
 from typing import List, Sequence
 
 from repro.coding.baseline_codes import EliasGammaCode
+from repro.coding.freq import BITS_PER_FREQUENCY
 
 __all__ = ["aggregation_cost_bits_per_hop", "choose_aggregation_threshold"]
 
@@ -44,7 +45,6 @@ def aggregation_cost_bits_per_hop(
     *,
     num_nodes: int,
     hops_per_update: float,
-    bits_per_frequency: int = 12,
 ) -> float:
     """Expected annotation+dissemination bits per hop under threshold ``k``."""
     if k < 1 or k > len(histogram) - 1:
@@ -58,7 +58,7 @@ def aggregation_cost_bits_per_hop(
     escape_bits = sum(
         probs[c] * _GAMMA.code_length(c - k) for c in range(k, len(probs))
     )
-    table_bits = 8 + (k + 1) * bits_per_frequency
+    table_bits = 8 + (k + 1) * BITS_PER_FREQUENCY
     dissemination = table_bits * max(1, num_nodes) / hops_per_update
     return entropy + escape_bits + dissemination
 
@@ -69,7 +69,6 @@ def choose_aggregation_threshold(
     max_count: int,
     num_nodes: int,
     hops_per_update: float,
-    bits_per_frequency: int = 12,
 ) -> int:
     """The K minimizing :func:`aggregation_cost_bits_per_hop`.
 
@@ -88,6 +87,5 @@ def choose_aggregation_threshold(
             k,
             num_nodes=num_nodes,
             hops_per_update=hops_per_update,
-            bits_per_frequency=bits_per_frequency,
         ),
     )

@@ -39,9 +39,6 @@ class DophyConfig:
     #: (1 = the paper's single shared model; >1 enables the class-context
     #: extension — sharper models at extra dissemination cost).
     link_classes: int = 1
-    #: Seconds a published model takes to reach the encoders (flood
-    #: propagation latency); 0 = instantaneous dissemination.
-    dissemination_delay: float = 0.0
     #: Per-node probability that one dissemination broadcast round fails
     #: to deliver the new model to that node. 0 keeps the idealized
     #: lossless dissemination (bit-identical to the historical behaviour);
@@ -60,8 +57,6 @@ class DophyConfig:
     #: model updates and stay pinned to the last epoch they received
     #: (epoch 0 forever). Deterministic stragglers for fault testing.
     dissemination_blocked_nodes: Tuple[int, ...] = ()
-    #: Window of decoded history each re-estimation uses (None = update period).
-    estimation_window: Optional[float] = None
     #: Prior mean link loss used to build the initial (epoch-0) model.
     initial_expected_loss: float = 0.2
     #: ``"explicit"`` records per-hop node ids in the annotation;
@@ -71,15 +66,8 @@ class DophyConfig:
     #: ``"assumed"`` assumes the sink learns paths out of band (costs 0
     #: bits) — used to isolate count-encoding overhead in comparisons.
     path_encoding: str = "explicit"
-    #: Geometric ratio of the compressed-path rank prior (smaller = more
-    #: mass on the best sinkward neighbor).
-    path_rank_decay: float = 0.35
-    #: Quantization budget for disseminated frequency tables.
-    table_precision: int = 4096
     #: How many recent model epochs the sink retains for late packets.
     epoch_history: int = 4
-    #: Bits per quantized frequency in a disseminated table.
-    bits_per_frequency: int = 12
 
     def __post_init__(self) -> None:
         if self.max_count < 0:
@@ -94,12 +82,8 @@ class DophyConfig:
             raise ValueError(
                 "path_encoding must be 'explicit', 'compressed' or 'assumed'"
             )
-        if not 0.0 < self.path_rank_decay < 1.0:
-            raise ValueError("path_rank_decay must be in (0, 1)")
         if self.link_classes < 1:
             raise ValueError("link_classes must be >= 1")
-        if self.dissemination_delay < 0:
-            raise ValueError("dissemination_delay must be >= 0")
         check_probability(self.dissemination_loss, "dissemination_loss")
         if self.dissemination_retries < 0:
             raise ValueError("dissemination_retries must be >= 0")

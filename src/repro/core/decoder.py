@@ -44,8 +44,7 @@ __all__ = [
 
 _GAMMA = EliasGammaCode()
 
-#: Every cause :class:`AnnotationDecodeError` can carry (plus the
-#: sink-level ``"sink_outage"`` counted by the protocol layer).
+#: Every cause :class:`AnnotationDecodeError` can carry.
 DECODE_FAILURE_CAUSES = (
     "unknown_epoch",
     "truncated",

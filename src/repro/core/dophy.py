@@ -11,8 +11,8 @@ Wires the annotation codec, model manager and estimator into a
   (dissemination bits are charged to the control plane).
 
 Model dissemination has two modes. By default it is idealized: a
-published model reaches every node after the global
-``dissemination_delay``, losslessly, charged as one flood. With
+published model reaches every node at once, losslessly, charged as one
+flood. With
 ``dissemination_loss > 0`` (or blocked nodes) it becomes **lossy
 broadcast rounds**: each round reaches every straggler independently
 with probability ``1 - loss``, repair rounds re-broadcast under capped
@@ -23,9 +23,9 @@ packets from nodes stuck beyond it fail to decode as ``unknown_epoch``.
 
 The sink degrades gracefully under faults: decode failures are counted
 per cause (see :mod:`repro.core.decoder`), a :class:`~repro.net.faults.FaultPlan`
-can corrupt/truncate/duplicate deliveries or take the sink down, and the
-hop prefix decoded before a failure is salvaged into the estimator when
-it passes a topology path-consistency check.
+can corrupt or truncate deliveries, and the hop prefix decoded before a
+failure is salvaged into the estimator when it passes a topology
+path-consistency check.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ class DophyReport:
     model_updates: int = 0
     #: Decode failures attributed by cause (always all four causes).
     decode_failure_causes: Dict[str, int] = field(default_factory=dict)
-    #: Deliveries discarded because the sink was inside an outage window.
-    sink_outage_discards: int = 0
     #: Repeat deliveries of an already-processed packet (tolerated, counted).
     duplicate_deliveries: int = 0
     #: Hop events for packets with no in-flight annotation (pre-attach etc.).
@@ -109,8 +107,8 @@ class DophyReport:
 
     @property
     def attributed_failures(self) -> int:
-        """Per-cause counters plus outage discards; equals ``decode_failures``."""
-        return sum(self.decode_failure_causes.values()) + self.sink_outage_discards
+        """Sum of the per-cause counters; equals ``decode_failures``."""
+        return sum(self.decode_failure_causes.values())
 
 
 class DophySystem(NullObserver):
@@ -140,7 +138,6 @@ class DophySystem(NullObserver):
         self._decode_failure_causes: Dict[str, int] = {
             cause: 0 for cause in DECODE_FAILURE_CAUSES
         }
-        self._sink_outage_discards = 0
         self._duplicate_deliveries = 0
         self._orphan_hop_events = 0
         self._salvaged_packets = 0
@@ -183,17 +180,13 @@ class DophySystem(NullObserver):
             symbol_set,
             initial_expected_loss=cfg.initial_expected_loss,
             update_period=cfg.model_update_period,
-            estimation_window=cfg.estimation_window,
-            table_precision=cfg.table_precision,
             epoch_history=cfg.epoch_history,
             num_nodes_for_dissemination=simulation.topology.num_nodes,
-            bits_per_frequency=cfg.bits_per_frequency,
             num_classes=cfg.link_classes,
-            activation_delay=cfg.dissemination_delay,
             auto_aggregation=cfg.auto_aggregation,
         )
         path_model = (
-            PathRankModel(simulation.topology, rank_decay=cfg.path_rank_decay)
+            PathRankModel(simulation.topology)
             if cfg.path_encoding == "compressed"
             else None
         )
@@ -237,13 +230,7 @@ class DophySystem(NullObserver):
         eligible = [n for n in targets if n not in self._blocked]
         received = simulation.control_broadcast(eligible, cfg.dissemination_loss)
         for node in received:
-            if cfg.dissemination_delay > 0:
-                simulation.sim.after(
-                    cfg.dissemination_delay,
-                    lambda n=node: self._models.deliver_epoch(n, epoch),
-                )
-            else:
-                self._models.deliver_epoch(node, epoch)
+            self._models.deliver_epoch(node, epoch)
         if round_index < cfg.dissemination_retries:
             delay = min(
                 cfg.dissemination_backoff * (2.0**round_index),
@@ -257,9 +244,7 @@ class DophySystem(NullObserver):
     # -- packet lifecycle --------------------------------------------------------------
 
     def on_packet_created(self, packet: Packet, time: float) -> None:
-        self._inflight[packet.key] = self._codec.new_annotation(
-            time, origin=packet.origin
-        )
+        self._inflight[packet.key] = self._codec.new_annotation(origin=packet.origin)
 
     def on_hop_delivered(
         self, packet: Packet, sender: int, receiver: int, first_attempt: int, time: float
@@ -278,13 +263,9 @@ class DophySystem(NullObserver):
     def on_packet_delivered(self, packet: Packet, time: float) -> None:
         annotation = self._inflight.pop(packet.key, None)
         if annotation is None:
-            # Duplicate delivery (e.g. a lost-ACK copy) or a packet created
-            # before attach: the evidence was already consumed once.
+            # A repeat delivery or a packet created before attach: no
+            # in-flight evidence to decode.
             self._duplicate_deliveries += 1
-            return
-        if self._faults is not None and self._faults.sink_down(time):
-            self._sink_outage_discards += 1
-            self._decode_failures += 1
             return
         data, bit_length = self._codec.serialize(annotation)
         if self._faults is not None:
@@ -321,10 +302,6 @@ class DophySystem(NullObserver):
             )
             for listener in self._decode_listeners:
                 listener(decoded, time)
-        if self._faults is not None and self._faults.draw_duplicate():
-            # Replay the delivery: the annotation is consumed, so this
-            # exercises (and counts under) the duplicate-tolerant path.
-            self.on_packet_delivered(packet, time)
 
     def _try_salvage(
         self, exc: AnnotationDecodeError, packet: Packet, time: float
@@ -381,7 +358,6 @@ class DophySystem(NullObserver):
             dissemination_bits=self._models.total_dissemination_bits,
             model_updates=self._models.updates_performed,
             decode_failure_causes=dict(self._decode_failure_causes),
-            sink_outage_discards=self._sink_outage_discards,
             duplicate_deliveries=self._duplicate_deliveries,
             orphan_hop_events=self._orphan_hop_events,
             salvaged_packets=self._salvaged_packets,

@@ -99,11 +99,8 @@ class HuffmanDophyVariant(NullObserver):
             self._symbol_set,
             initial_expected_loss=cfg.initial_expected_loss,
             update_period=cfg.model_update_period,
-            estimation_window=cfg.estimation_window,
-            table_precision=cfg.table_precision,
             epoch_history=cfg.epoch_history,
             num_nodes_for_dissemination=simulation.topology.num_nodes,
-            bits_per_frequency=cfg.bits_per_frequency,
             num_classes=cfg.link_classes,
         )
         self._estimator = PerLinkEstimator(max_attempts=max_count + 1)

@@ -12,8 +12,8 @@ field), and the sink keeps a window of recent tables so packets encoded
 just before an update still decode.
 
 **Lossy dissemination (extension).** By default dissemination is
-idealized: every node switches to a published epoch after the global
-``activation_delay``. With per-node epoch tracking enabled
+idealized: every node switches to a published epoch the moment the sink
+publishes it. With per-node epoch tracking enabled
 (:meth:`ModelManager.enable_per_node_epochs`), each node instead tracks
 the latest epoch it *actually received* from broadcast/repair rounds
 (delivered by the protocol layer via :meth:`deliver_epoch`) and encodes
@@ -43,9 +43,17 @@ from repro.coding.freq import FrequencyTable
 from repro.core.symbols import SymbolSet
 from repro.utils.validation import check_positive, check_probability
 
-__all__ = ["EpochModel", "ModelManager", "geometric_symbol_probabilities"]
+__all__ = [
+    "EpochModel",
+    "ModelManager",
+    "TABLE_PRECISION",
+    "geometric_symbol_probabilities",
+]
 
 Link = Tuple[int, int]
+
+#: Quantization budget of a disseminated frequency table.
+TABLE_PRECISION = 4096
 
 
 class EpochModel(NamedTuple):
@@ -96,25 +104,17 @@ class ModelManager:
         *,
         initial_expected_loss: float = 0.2,
         update_period: Optional[float] = 60.0,
-        estimation_window: Optional[float] = None,
-        table_precision: int = 4096,
         epoch_history: int = 4,
         num_nodes_for_dissemination: int = 0,
-        bits_per_frequency: int = 12,
         num_classes: int = 1,
-        activation_delay: float = 0.0,
         auto_aggregation: bool = False,
     ) -> None:
         """``update_period=None`` disables updates (the static-model ablation).
 
-        ``estimation_window`` limits re-estimation to symbols decoded in the
-        last window seconds (defaults to ``update_period``), so the model
-        tracks drifting links instead of averaging over all history.
+        Re-estimation reads only the symbols decoded in the last
+        ``update_period`` seconds, so the model tracks drifting links
+        instead of averaging over all history.
         ``num_classes > 1`` enables per-link-quality-class tables.
-        ``activation_delay`` models dissemination latency: a published
-        epoch only becomes current *for encoders* that many seconds after
-        the sink froze it (the sink itself retains all recent epochs, so
-        decoding is unaffected).
         ``auto_aggregation`` re-selects the aggregation threshold K at
         every update (per-epoch symbol sets), minimizing expected
         annotation + dissemination bits per hop — see
@@ -122,30 +122,20 @@ class ModelManager:
         """
         if update_period is not None:
             check_positive(update_period, "update_period")
-        if estimation_window is not None:
-            check_positive(estimation_window, "estimation_window")
         if epoch_history < 1:
             raise ValueError("epoch_history must be >= 1")
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if activation_delay < 0:
-            raise ValueError("activation_delay must be >= 0")
         self.symbol_set = symbol_set
         self.update_period = update_period
-        self.estimation_window = (
-            estimation_window if estimation_window is not None else update_period
-        )
-        self.table_precision = table_precision
         self.epoch_history = epoch_history
         self.num_nodes_for_dissemination = num_nodes_for_dissemination
-        self.bits_per_frequency = bits_per_frequency
         self.num_classes = num_classes
-        self.activation_delay = activation_delay
         self.auto_aggregation = auto_aggregation
 
         initial = FrequencyTable.from_probabilities(
             geometric_symbol_probabilities(symbol_set, initial_expected_loss),
-            precision=table_precision,
+            precision=TABLE_PRECISION,
         )
         #: epoch -> per-class tables (all classes start identical).
         self._tables: Dict[int, List[FrequencyTable]] = {0: [initial] * num_classes}
@@ -154,8 +144,6 @@ class ModelManager:
         #: epoch -> symbol set (varies only under auto_aggregation).
         self._symbol_sets: Dict[int, SymbolSet] = {0: symbol_set}
         self._epoch = 0
-        #: epoch -> time at which encoders start using it.
-        self._activation: Dict[int, float] = {0: 0.0}
         #: (time, link-or-None, symbol) decode observations.
         self._observations: List[Tuple[float, Optional[Link], int]] = []
         self._dissemination_bits = 0
@@ -176,17 +164,8 @@ class ModelManager:
 
     @property
     def current_epoch(self) -> int:
-        """The newest epoch (the sink's view)."""
+        """The newest epoch, which every up-to-date encoder uses."""
         return self._epoch
-
-    def current_epoch_for(self, time: float) -> int:
-        """The epoch encoders use at ``time`` (respects activation delay)."""
-        candidates = [
-            e for e, t in self._activation.items() if t <= time and e in self._tables
-        ]
-        if not candidates:
-            return min(self._tables)  # everything still propagating: oldest retained
-        return max(candidates)
 
     def table(self, epoch: Optional[int] = None, class_id: int = 0) -> FrequencyTable:
         """A class's model for ``epoch`` (default: current). KeyError if expired."""
@@ -350,8 +329,7 @@ class ModelManager:
         """
         if self.update_period is None:
             return False
-        window = self.estimation_window
-        cutoff = time - window if window is not None else -math.inf
+        cutoff = time - self.update_period
         max_count = self.symbol_set.max_count
         kept: List[Tuple[float, Optional[Link], int]] = []
         global_hist = [0] * (max_count + 1)
@@ -379,7 +357,6 @@ class ModelManager:
                 max_count=max_count,
                 num_nodes=self.num_nodes_for_dissemination,
                 hops_per_update=float(total_hops),
-                bits_per_frequency=self.bits_per_frequency,
             )
             symbol_set = SymbolSet(max_count, k)
         else:
@@ -399,14 +376,13 @@ class ModelManager:
             # Re-quantize for a fixed dissemination size.
             tables.append(
                 FrequencyTable.from_probabilities(
-                    table.probabilities(), precision=self.table_precision
+                    table.probabilities(), precision=TABLE_PRECISION
                 )
             )
         self._epoch += 1
         self._tables[self._epoch] = tables
         self._class_maps[self._epoch] = class_map
         self._symbol_sets[self._epoch] = symbol_set
-        self._activation[self._epoch] = time + self.activation_delay
         while len(self._tables) > self.epoch_history:
             victim = min(self._tables)
             # The sink's decode window drops the epoch, but encoders out
@@ -415,7 +391,6 @@ class ModelManager:
             self._archive_class_maps[victim] = self._class_maps.pop(victim)
             if victim in self._symbol_sets:
                 self._archive_symbol_sets[victim] = self._symbol_sets.pop(victim)
-            self._activation.pop(victim, None)
         if self._auto_charge_dissemination:
             self._dissemination_bits += self.dissemination_cost_bits(tables, class_map)
         self._updates_performed += 1
@@ -441,10 +416,7 @@ class ModelManager:
         """
         if isinstance(tables, FrequencyTable):
             tables = [tables]
-        payload = sum(
-            t.serialized_size_bits(bits_per_frequency=self.bits_per_frequency)
-            for t in tables
-        )
+        payload = sum(t.serialized_size_bits() for t in tables)
         if self.num_classes > 1 and class_map:
             # Each map entry: two node ids are implicit in a canonical link
             # ordering known network-wide, so only the class id is carried.
@@ -460,10 +432,7 @@ class ModelManager:
             class_map = self._archive_class_maps.get(epoch)
         if tables is None:
             raise KeyError(f"model epoch {epoch} unknown")
-        payload = sum(
-            t.serialized_size_bits(bits_per_frequency=self.bits_per_frequency)
-            for t in tables
-        )
+        payload = sum(t.serialized_size_bits() for t in tables)
         if self.num_classes > 1 and class_map:
             payload += len(class_map) * self.class_id_bits
         return payload

@@ -25,21 +25,20 @@ from typing import Dict, List, Tuple
 
 from repro.coding.freq import FrequencyTable
 from repro.net.topology import Topology
-from repro.utils.validation import check_in_range
 
-__all__ = ["PathRankModel"]
+__all__ = ["PathRankModel", "RANK_DECAY"]
+
+#: Geometric ratio of the rank prior, P(rank k) ∝ RANK_DECAY^k. A small
+#: decay says "almost always the best sinkward neighbor".
+RANK_DECAY = 0.35
+#: Quantization budget of the shared rank table.
+_RANK_TABLE_PRECISION = 4096
 
 
 class PathRankModel:
     """Canonical neighbor rankings plus a shared rank-symbol model."""
 
-    def __init__(self, topology: Topology, *, rank_decay: float = 0.35,
-                 precision: int = 4096) -> None:
-        """``rank_decay`` is the geometric prior's ratio: P(rank k) ∝ decay^k.
-
-        A small decay says "almost always the best sinkward neighbor".
-        """
-        check_in_range(rank_decay, "rank_decay", 0.0, 1.0, inclusive=(False, False))
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._order: Dict[int, List[int]] = {}
         self._rank: Dict[Tuple[int, int], int] = {}
@@ -52,8 +51,10 @@ class PathRankModel:
             for k, v in enumerate(ordered):
                 self._rank[(node, v)] = k
         self.max_degree = max(len(v) for v in self._order.values())
-        probs = [rank_decay**k for k in range(self.max_degree)]
-        self.table = FrequencyTable.from_probabilities(probs, precision=precision)
+        probs = [RANK_DECAY**k for k in range(self.max_degree)]
+        self.table = FrequencyTable.from_probabilities(
+            probs, precision=_RANK_TABLE_PRECISION
+        )
 
     @property
     def num_symbols(self) -> int:
@@ -78,16 +79,6 @@ class PathRankModel:
                 f"rank {rank} out of range for node {sender} (degree {len(ordered)})"
             )
         return ordered[rank]
-
-    def expected_bits_per_hop(self, empirical_ranks: List[int]) -> float:
-        """Cross-entropy cost of this model on observed rank choices."""
-        if not empirical_ranks:
-            return 0.0
-        counts = [0] * self.max_degree
-        for r in empirical_ranks:
-            counts[r] += 1
-        total = sum(counts)
-        return self.table.expected_code_length([c / total for c in counts])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

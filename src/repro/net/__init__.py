@@ -11,7 +11,7 @@ against the links' true loss ratios.
 from repro.net.events import CalendarQueue, EventQueue
 from repro.net.failures import FailureEvent, FailurePlan, random_failure_plan
 from repro.net.fastsim import FastArqMac, VectorizedEtxSampler, array_simulator
-from repro.net.faults import FaultPlan, SinkOutage
+from repro.net.faults import FaultPlan
 from repro.net.interference import Interferer, InterfererField, interference_assigner
 from repro.net.link import (
     BernoulliLink,
@@ -62,7 +62,6 @@ __all__ = [
     "FailurePlan",
     "random_failure_plan",
     "FaultPlan",
-    "SinkOutage",
     "Interferer",
     "InterfererField",
     "interference_assigner",

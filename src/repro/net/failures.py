@@ -11,7 +11,7 @@ genuine topology churn that invalidates classical tomography's snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Set
 
 import numpy as np
 
@@ -67,22 +67,6 @@ class FailurePlan:
 
     def nodes_involved(self) -> Set[int]:
         return {e.node for e in self.events}
-
-    def downtime_intervals(self, node: int, horizon: float) -> List[Tuple[float, float]]:
-        """[start, end) intervals during which ``node`` is down."""
-        intervals: List[Tuple[float, float]] = []
-        start = None
-        for event in self.events:
-            if event.node != node:
-                continue
-            if event.kind == "fail":
-                start = event.time
-            elif start is not None:
-                intervals.append((start, event.time))
-                start = None
-        if start is not None:
-            intervals.append((start, horizon))
-        return intervals
 
 
 def random_failure_plan(

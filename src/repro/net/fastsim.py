@@ -60,10 +60,9 @@ trick below is therefore paired with the argument for exactness:
   chain state object — so the per-edge stream position *and* the chain
   state match the oracle after every exchange. The exact scalar control
   for these edges is the event engine's :class:`~repro.net.mac.ArqMac`.
-* Models that are neither threshold-shaped nor chain-replayable, and
-  every edge when ``ack_losses=True`` makes ACK frames traverse the
-  lossy reverse link, fall back to the exact scalar path per edge; the
-  per-edge stream granularity makes mixing safe.
+* Models that are neither threshold-shaped nor chain-replayable fall
+  back to the exact scalar path per edge; the per-edge stream
+  granularity makes mixing safe.
 
 The contract is pinned by ``tests/net/test_fastsim_differential.py``
 (field-by-field result equality over a scenario matrix) and by the
@@ -79,7 +78,7 @@ import numpy as np
 
 from repro.net.events import CalendarQueue
 from repro.net.link import Channel, LinkModel
-from repro.net.mac import ArqMac, MacConfig, MacResult
+from repro.net.mac import RETRY_INTERVAL, TX_TIME, ArqMac, MacConfig, MacResult
 from repro.net.routing import RoutingEngine
 from repro.net.sim import Simulator
 
@@ -155,8 +154,7 @@ class FastArqMac:
     replayed two buffered uniforms per attempt through the model's
     ``chain_step``, mutating the live chain state in oracle order; their
     exact scalar control is the event engine's ``ArqMac``. Everything
-    else — and every edge when ACK frames traverse the lossy reverse
-    link — runs the exact scalar oracle.
+    else runs the exact scalar oracle.
     """
 
     def __init__(self, channel: Channel, config: Optional[MacConfig] = None):
@@ -165,8 +163,8 @@ class FastArqMac:
         self._exact = ArqMac(channel, self.config)
         # Replayed exactly as the oracle accumulates time: one rounded
         # fl(tx + retry) add per failed attempt, one fl(tx) add on success.
-        self._tx = self.config.tx_time
-        self._step = self.config.tx_time + self.config.retry_interval
+        self._tx = TX_TIME
+        self._step = TX_TIME + RETRY_INTERVAL
         self._max_attempts = self.config.max_attempts
         # Classification is lazy, per edge on its first exchange: at
         # scale only the collection tree's ~N directed edges ever carry
@@ -176,7 +174,6 @@ class FastArqMac:
         # Plan *kind* is a per-class question, so it is memoized by
         # model type and each lazy classification costs one dict probe.
         self._plans: Dict[Tuple[int, int], Optional[_EdgePlan]] = {}
-        self._buffered = not self.config.ack_losses
         self._kind_by_type: Dict[type, int] = {}
 
     _EXACT, _THRESHOLD, _CHAIN = 0, 1, 2
@@ -198,18 +195,15 @@ class FastArqMac:
 
     def _classify(self, sender: int, receiver: int) -> Optional[_EdgePlan]:
         plan: Optional[_EdgePlan] = None
-        if self._buffered:
-            model = self.channel.model(sender, receiver)
-            kind = self._model_kind(model)
-            if kind == self._THRESHOLD:
-                const = (
-                    model.uniform_threshold(0.0)
-                    if model.time_invariant_loss
-                    else None
-                )
-                plan = _EdgePlan(model, const)
-            elif kind == self._CHAIN:
-                plan = _EdgePlan(model, None, chain=True)
+        model = self.channel.model(sender, receiver)
+        kind = self._model_kind(model)
+        if kind == self._THRESHOLD:
+            const = (
+                model.uniform_threshold(0.0) if model.time_invariant_loss else None
+            )
+            plan = _EdgePlan(model, const)
+        elif kind == self._CHAIN:
+            plan = _EdgePlan(model, None, chain=True)
         self._plans[(sender, receiver)] = plan
         return plan
 
@@ -221,8 +215,6 @@ class FastArqMac:
         state, so the answer is independent of which edges have carried
         traffic so far.
         """
-        if not self._buffered:
-            return 0
         return sum(
             self._model_kind(model) != self._EXACT
             for model in self.channel._models.values()
@@ -277,10 +269,7 @@ class FastArqMac:
                 sender, receiver, attempts, 1 if first is not None else 0
             )
             return MacResult(
-                attempts=attempts,
-                first_received_attempt=first,
-                acked=first is not None,
-                end_time=time,
+                attempts=attempts, first_received_attempt=first, end_time=time
             )
         while attempts < max_attempts:
             attempts += 1
@@ -299,7 +288,7 @@ class FastArqMac:
                 assert dynamic is not None
                 threshold = dynamic
             if draw >= threshold:
-                # Perfect-ACK fast path: first reception ends the exchange.
+                # ACKs are perfect: first reception ends the exchange.
                 first = attempts
                 time += self._tx
                 break
@@ -308,12 +297,7 @@ class FastArqMac:
         self.channel.record_batch(
             sender, receiver, attempts, 1 if first is not None else 0
         )
-        return MacResult(
-            attempts=attempts,
-            first_received_attempt=first,
-            acked=first is not None,
-            end_time=time,
-        )
+        return MacResult(attempts=attempts, first_received_attempt=first, end_time=time)
 
 
 class VectorizedEtxSampler:

@@ -2,9 +2,8 @@
 
 Node crashes (:mod:`repro.net.failures`) remove whole nodes; this module
 injects the *subtler* faults a deployed sink actually sees — corruption
-that escapes the CRC, frames cut short, link-layer duplicates, and the
-sink's own process being down — so the decode-failure taxonomy and the
-salvage path can be exercised end to end.
+that escapes the CRC and frames cut short — so the decode-failure
+taxonomy and the salvage path can be exercised end to end.
 
 A :class:`FaultPlan` is composable and reproducible: every stochastic
 decision draws from its own named substream of a dedicated fault seed
@@ -14,42 +13,25 @@ never perturbs the draws of another, nor any data-plane stream.
 Fault kinds:
 
 * **bit corruption** — with probability ``corruption_rate`` per delivered
-  annotation, flip 1..``max_flips`` uniformly chosen payload bits
+  annotation, flip 1..:data:`MAX_FLIPS` uniformly chosen payload bits
   (modelling corruption the 16-bit CRC failed to catch);
 * **truncation** — with probability ``truncation_rate``, cut a uniform
-  fraction off the tail of the annotation (a frame clipped mid-air);
-* **duplication** — with probability ``duplication_rate``, deliver the
-  same packet to the sink a second time (a lost ACK on the last hop);
-* **sink outages** — validated ``[start, end)`` windows during which the
-  sink discards deliveries without decoding them.
+  fraction off the tail of the annotation (a frame clipped mid-air).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_probability
 
-__all__ = ["SinkOutage", "FaultPlan", "ShardFaultPlan"]
+__all__ = ["FaultPlan", "ShardFaultPlan", "MAX_FLIPS", "STALL_ROUNDS"]
 
-
-@dataclass(frozen=True)
-class SinkOutage:
-    """One ``[start, end)`` window during which the sink is down."""
-
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError("outage start must be >= 0")
-        if self.end <= self.start:
-            raise ValueError("outage end must be > start")
-
-    def covers(self, time: float) -> bool:
-        return self.start <= time < self.end
+#: Most payload bits one corruption event flips.
+MAX_FLIPS = 3
+#: Dispatch rounds a stalled shard worker hangs before it is given up on.
+STALL_ROUNDS = 2
 
 
 class FaultPlan:
@@ -64,53 +46,22 @@ class FaultPlan:
         *,
         seed: int = 0,
         corruption_rate: float = 0.0,
-        max_flips: int = 3,
         truncation_rate: float = 0.0,
-        duplication_rate: float = 0.0,
-        sink_outages: Sequence[SinkOutage] = (),
     ):
         check_probability(corruption_rate, "corruption_rate")
         check_probability(truncation_rate, "truncation_rate")
-        check_probability(duplication_rate, "duplication_rate")
-        if max_flips < 1:
-            raise ValueError("max_flips must be >= 1")
-        ordered = sorted(sink_outages, key=lambda o: o.start)
-        for a, b in zip(ordered, ordered[1:]):
-            if b.start < a.end:
-                raise ValueError("sink outage windows must not overlap")
         self.seed = seed
         self.corruption_rate = corruption_rate
-        self.max_flips = max_flips
         self.truncation_rate = truncation_rate
-        self.duplication_rate = duplication_rate
-        self.sink_outages: Tuple[SinkOutage, ...] = tuple(ordered)
         # One substream per fault kind: enabling truncation must not
         # shift which packets get corrupted, and vice versa.
         self._corrupt_rng = derive_rng(seed, "faults", "corrupt")
         self._truncate_rng = derive_rng(seed, "faults", "truncate")
-        self._duplicate_rng = derive_rng(seed, "faults", "duplicate")
 
     @property
     def active(self) -> bool:
         """True when any fault kind can actually fire."""
-        return bool(
-            self.corruption_rate > 0
-            or self.truncation_rate > 0
-            or self.duplication_rate > 0
-            or self.sink_outages
-        )
-
-    # -- per-delivery hooks ------------------------------------------------------
-
-    def sink_down(self, time: float) -> bool:
-        """Is the sink inside an outage window at ``time``?"""
-        return any(o.covers(time) for o in self.sink_outages)
-
-    def draw_duplicate(self) -> bool:
-        """Should this delivery be followed by a duplicate copy?"""
-        if self.duplication_rate <= 0:
-            return False
-        return float(self._duplicate_rng.random()) < self.duplication_rate
+        return bool(self.corruption_rate > 0 or self.truncation_rate > 0)
 
     def corrupt_annotation(
         self, data: bytes, bit_length: int
@@ -128,7 +79,7 @@ class FaultPlan:
             and float(self._corrupt_rng.random()) < self.corruption_rate
         ):
             buf = bytearray(data)
-            n_flips = int(self._corrupt_rng.integers(1, self.max_flips + 1))
+            n_flips = int(self._corrupt_rng.integers(1, MAX_FLIPS + 1))
             for _ in range(n_flips):
                 pos = int(self._corrupt_rng.integers(0, bit_length))
                 buf[pos // 8] ^= 1 << (7 - (pos % 8))
@@ -148,9 +99,7 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FaultPlan(corruption={self.corruption_rate},"
-            f" truncation={self.truncation_rate},"
-            f" duplication={self.duplication_rate},"
-            f" outages={len(self.sink_outages)})"
+            f" truncation={self.truncation_rate})"
         )
 
 
@@ -182,14 +131,11 @@ class ShardFaultPlan:
         seed: int = 0,
         crash_rate: float = 0.0,
         stall_rate: float = 0.0,
-        stall_rounds: int = 2,
         crash_at: Sequence[Tuple[int, int]] = (),
         stall_at: Sequence[Tuple[int, int]] = (),
     ):
         check_probability(crash_rate, "crash_rate")
         check_probability(stall_rate, "stall_rate")
-        if stall_rounds < 1:
-            raise ValueError("stall_rounds must be >= 1")
         for where, name in ((crash_at, "crash_at"), (stall_at, "stall_at")):
             for rnd, shard in where:
                 if rnd < 1 or shard < 0:
@@ -199,7 +145,6 @@ class ShardFaultPlan:
         self.seed = seed
         self.crash_rate = crash_rate
         self.stall_rate = stall_rate
-        self.stall_rounds = stall_rounds
         self.crash_at = frozenset((int(r), int(s)) for r, s in crash_at)
         self.stall_at = frozenset((int(r), int(s)) for r, s in stall_at)
 

@@ -4,14 +4,13 @@ Models the hop-by-hop reliability layer data-collection protocols rely
 on (and that Dophy piggybacks on): the sender transmits a frame, waits
 for an ACK, and retries up to ``max_retries`` extra times.
 
-Two counts matter and differ when ACKs can be lost:
-
-* the *sender's* transmission count (what the radio spends), and
-* the attempt index of the *first frame the receiver got* — a clean
-  geometric draw with success probability = the forward link's delivery
-  ratio. Dophy annotations record this receiver-side count (each frame
-  carries its attempt number in a constant-size MAC header field common
-  to every scheme, so it cancels out of overhead comparisons).
+ACKs are perfect, so the first frame the receiver gets ends the
+exchange: the sender's transmission count equals the attempt index of
+that frame — a clean geometric draw with success probability = the
+forward link's delivery ratio. Dophy annotations record this count
+(each frame carries its attempt number in a constant-size MAC header
+field common to every scheme, so it cancels out of overhead
+comparisons).
 """
 
 from __future__ import annotations
@@ -20,9 +19,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.link import Channel
-from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["MacConfig", "MacResult", "ArqMac"]
+__all__ = ["MacConfig", "MacResult", "ArqMac", "TX_TIME", "RETRY_INTERVAL"]
+
+#: Airtime of one data frame + ACK exchange, seconds.
+TX_TIME = 0.005
+#: Gap between retransmission attempts, seconds.
+RETRY_INTERVAL = 0.01
 
 
 @dataclass(frozen=True)
@@ -31,18 +34,10 @@ class MacConfig:
 
     #: Extra transmissions after the first (CTP default is large; 30 here).
     max_retries: int = 30
-    #: Whether ACK frames traverse the lossy reverse link (False = perfect ACKs).
-    ack_losses: bool = False
-    #: Airtime of one data frame + ACK exchange, seconds.
-    tx_time: float = 0.005
-    #: Gap between retransmission attempts, seconds.
-    retry_interval: float = 0.01
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        check_positive(self.tx_time, "tx_time")
-        check_non_negative(self.retry_interval, "retry_interval")
 
     @property
     def max_attempts(self) -> int:
@@ -57,8 +52,6 @@ class MacResult:
     attempts: int
     #: Attempt index (1-based) of the first frame the receiver got; None = none arrived.
     first_received_attempt: Optional[int]
-    #: Whether the sender received an ACK (it believes the hop succeeded).
-    acked: bool
     #: Simulation time when the exchange ended.
     end_time: float
 
@@ -89,30 +82,19 @@ class ArqMac:
         per-attempt timestamps, so bursty links produce correlated
         retransmission runs as they do in reality.
         """
-        cfg = self.config
+        max_attempts = self.config.max_attempts
         time = start_time
         first_received: Optional[int] = None
         attempts = 0
-        acked = False
-        while attempts < cfg.max_attempts:
+        while attempts < max_attempts:
             attempts += 1
-            data_ok = self.channel.transmit(sender, receiver, time)
-            if data_ok and first_received is None:
+            if self.channel.transmit(sender, receiver, time):
                 first_received = attempts
-            if data_ok:
-                ack_ok = (
-                    self.channel.transmit(receiver, sender, time)
-                    if cfg.ack_losses
-                    else True
-                )
-                if ack_ok:
-                    acked = True
-                    time += cfg.tx_time
-                    break
-            time += cfg.tx_time + cfg.retry_interval
+                time += TX_TIME
+                break
+            time += TX_TIME + RETRY_INTERVAL
         return MacResult(
             attempts=attempts,
             first_received_attempt=first_received,
-            acked=acked,
             end_time=time,
         )

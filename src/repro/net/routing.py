@@ -48,9 +48,8 @@ class RoutingConfig:
     #: Hysteresis: switch parent only if the candidate beats the current
     #: route cost by more than this many expected transmissions.
     parent_switch_threshold: float = 0.5
-    #: Blend observed data-traffic attempt counts into ETX estimates.
-    data_driven_updates: bool = True
-    #: EWMA weight for data-driven samples.
+    #: EWMA weight with which observed data-traffic attempt counts are
+    #: blended into ETX estimates.
     data_alpha: float = 0.1
 
     def __post_init__(self) -> None:
@@ -214,8 +213,6 @@ class RoutingEngine:
 
     def on_data_sample(self, u: int, v: int, attempts: int, time: float) -> None:
         """Feed an observed ARQ attempt count back into the (u, v) estimate."""
-        if not self.config.data_driven_updates:
-            return
         etx = self._etx
         i = self._edge_index[(u, v)]
         if self._etx_samples[i] == 0:

@@ -13,8 +13,8 @@ a busy node wait in a bounded FIFO transmit queue (tail-dropped on
 overflow). Remaining abstractions relative to a packet-level TinyOS
 stack, none of which the inference consumes: beacons are modelled as
 periodic ETX sampling rather than individual frames, no inter-node RF
-interference, and duplicate packets from lost ACKs are suppressed at the
-first hop. See DESIGN.md §4.
+interference, and ACKs are perfect, so no hop forwards a duplicate
+packet. See DESIGN.md §4.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 from repro.net.failures import FailurePlan
 from repro.net.fastsim import FastArqMac, VectorizedEtxSampler, array_simulator
 from repro.net.link import Channel, LinkAssigner, uniform_loss_assigner
-from repro.net.mac import ArqMac, MacConfig, MacResult
+from repro.net.mac import RETRY_INTERVAL, TX_TIME, ArqMac, MacConfig, MacResult
 from repro.net.packet import Packet
 from repro.net.routing import RoutingConfig, RoutingEngine
 from repro.net.sim import Simulator
@@ -46,6 +46,9 @@ __all__ = [
 #: Fallback link regime when a simulation is given neither a channel nor
 #: an assigner.
 DEFAULT_LINK_ASSIGNER = uniform_loss_assigner(0.05, 0.3)
+
+#: Uniform jitter fraction applied to each inter-packet gap.
+TRAFFIC_JITTER = 0.25
 
 
 class CollectionObserver(Protocol):
@@ -109,8 +112,6 @@ class SimulationConfig:
     duration: float = 300.0
     #: Mean inter-packet interval per source node, seconds.
     traffic_period: float = 10.0
-    #: Uniform jitter fraction applied to each inter-packet gap (0..1).
-    traffic_jitter: float = 0.25
     #: TTL: drop packets exceeding this many hop attempts.
     max_hops: int = 64
     #: Processing delay between receiving a packet and forwarding it, seconds.
@@ -130,8 +131,6 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         check_positive(self.duration, "duration")
         check_positive(self.traffic_period, "traffic_period")
-        if not 0.0 <= self.traffic_jitter < 1.0:
-            raise ValueError("traffic_jitter must be in [0, 1)")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
         if self.forward_delay < 0:
@@ -293,9 +292,7 @@ class CollectionSimulation:
                 def generate() -> None:
                     if self._alive[origin]:  # dead nodes produce nothing
                         self._create_packet(origin)
-                    jitter = float(
-                        gen_rng.uniform(-cfg.traffic_jitter, cfg.traffic_jitter)
-                    )
+                    jitter = float(gen_rng.uniform(-TRAFFIC_JITTER, TRAFFIC_JITTER))
                     gap = cfg.traffic_period * (1.0 + jitter)
                     if self.sim.now + gap <= cfg.duration:
                         self.sim.after(gap, generate)
@@ -353,15 +350,10 @@ class CollectionSimulation:
         if not self._alive[parent]:
             # Receiver's radio is off: every attempt times out, no frames
             # actually traverse the channel (so link statistics stay clean).
-            mac_cfg = self.config.mac
-            end = self.sim.now + mac_cfg.max_attempts * (
-                mac_cfg.tx_time + mac_cfg.retry_interval
-            )
+            max_attempts = self.config.mac.max_attempts
+            end = self.sim.now + max_attempts * (TX_TIME + RETRY_INTERVAL)
             result = MacResult(
-                attempts=mac_cfg.max_attempts,
-                first_received_attempt=None,
-                acked=False,
-                end_time=end,
+                attempts=max_attempts, first_received_attempt=None, end_time=end
             )
         else:
             result = self.mac.send(node, parent, self.sim.now)
@@ -480,7 +472,7 @@ class CollectionSimulation:
         provably frozen.
         """
         cfg = self.config
-        mac_cfg = cfg.mac
+        max_attempts = cfg.mac.max_attempts
         sink = self.topology.sink
         cur, t = node, start
         started_first = False
@@ -503,14 +495,9 @@ class CollectionSimulation:
                 # Receiver's radio is off: every attempt times out, no
                 # frames traverse the channel (same float expression as
                 # the oracle's).
-                end = t + mac_cfg.max_attempts * (
-                    mac_cfg.tx_time + mac_cfg.retry_interval
-                )
+                end = t + max_attempts * (TX_TIME + RETRY_INTERVAL)
                 result = MacResult(
-                    attempts=mac_cfg.max_attempts,
-                    first_received_attempt=None,
-                    acked=False,
-                    end_time=end,
+                    attempts=max_attempts, first_received_attempt=None, end_time=end
                 )
             else:
                 result = self.mac.send(cur, parent, t)

@@ -57,7 +57,6 @@ class Topology:
         self._hops_to_sink: Dict[int, int] = self._bfs_hops()
         self._undirected: Optional[Tuple[Tuple[int, int], ...]] = None
         self._directed: Optional[Tuple[Tuple[int, int], ...]] = None
-        self._upstream: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def _bfs_hops(self) -> Dict[int, int]:
         """Hop counts from the sink for every node, via a frontier BFS
@@ -130,24 +129,6 @@ class Topology:
                 out.append((v, u))
             self._directed = tuple(sorted(out))
         return self._directed
-
-    def upstream_edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Directed edges (u, v) where v is at most as far from the sink as u.
-
-        These are the links data traffic can use under loop-free collection
-        routing — the set tomography approaches attempt to estimate.
-        Memoized, immutable.
-        """
-        if self._upstream is None:
-            self._upstream = tuple(
-                sorted(
-                    (u, v)
-                    for u, v in self.directed_edges()
-                    if self._hops_to_sink[v] <= self._hops_to_sink[u]
-                    and u != self.sink
-                )
-            )
-        return self._upstream
 
     def hops_to_sink(self, node: int) -> int:
         return self._hops_to_sink[node]

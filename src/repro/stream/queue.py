@@ -30,9 +30,10 @@ from typing import Deque, List
 
 from repro.stream.records import PacketRecord
 
-__all__ = ["BoundedPacketQueue", "QueueStats"]
+__all__ = ["BoundedPacketQueue", "QueueStats", "QUEUE_POLICIES"]
 
-_POLICIES = ("block", "shed")
+#: Backpressure policies a sink can run its queue under.
+QUEUE_POLICIES = ("block", "shed")
 
 
 @dataclass
@@ -50,13 +51,10 @@ class QueueStats:
 class BoundedPacketQueue:
     """Capacity-bounded FIFO between ingestion and shard dispatch."""
 
-    def __init__(self, capacity: int, policy: str = "block") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if policy not in _POLICIES:
-            raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
         self.capacity = capacity
-        self.policy = policy
         self.stats = QueueStats()
         self._items: Deque[PacketRecord] = deque()
 
@@ -103,7 +101,4 @@ class BoundedPacketQueue:
         self._items = deque(records)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"BoundedPacketQueue({len(self._items)}/{self.capacity}, "
-            f"policy={self.policy})"
-        )
+        return f"BoundedPacketQueue({len(self._items)}/{self.capacity})"

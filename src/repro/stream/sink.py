@@ -48,9 +48,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.estimator import LinkEstimate, PerLinkEstimator
-from repro.net.faults import ShardFaultPlan
+from repro.net.faults import STALL_ROUNDS, ShardFaultPlan
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
-from repro.stream.queue import BoundedPacketQueue, QueueStats
+from repro.stream.queue import QUEUE_POLICIES, BoundedPacketQueue, QueueStats
 from repro.stream.records import (
     PacketRecord,
     evidence_links,
@@ -129,6 +129,10 @@ class SinkConfig:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
+        if self.queue_policy not in QUEUE_POLICIES:
+            raise ValueError(
+                f"queue_policy must be one of {QUEUE_POLICIES}, got {self.queue_policy!r}"
+            )
         if self.arrival_burst < 1:
             raise ValueError("arrival_burst must be >= 1")
         if self.service_batch < 1:
@@ -147,11 +151,7 @@ class SinkConfig:
             "service_batch": self.service_batch,
             "merge_every": self.merge_every,
             "checkpoint_every": self.checkpoint_every,
-            "retry": {
-                "max_restarts": self.retry.max_restarts,
-                "backoff_base": self.retry.backoff_base,
-                "backoff_cap": self.retry.backoff_cap,
-            },
+            "retry": {"max_restarts": self.retry.max_restarts},
             "alerts": None
             if self.alerts is None
             else {
@@ -162,8 +162,9 @@ class SinkConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SinkConfig":
-        # Older manifests also carry the settings of a process-pool apply
-        # that no longer exists (worker count, timeout, retry budget).
+        # Older manifests also carry settings that no longer exist: those
+        # of a process-pool apply (worker count, timeout, retry budget)
+        # and the retry policy's backoff base and cap, now constants.
         # Only the keys read below matter, so those are ignored.
         alerts = data.get("alerts")
         return cls(
@@ -174,7 +175,7 @@ class SinkConfig:
             service_batch=int(data["service_batch"]),
             merge_every=int(data["merge_every"]),
             checkpoint_every=int(data["checkpoint_every"]),
-            retry=RetryPolicy(**data["retry"]),
+            retry=RetryPolicy(max_restarts=int(data["retry"]["max_restarts"])),
             alerts=None if alerts is None else AlertPolicy(**alerts),
         )
 
@@ -237,9 +238,7 @@ class StreamingSink:
         self.truncation_correction = truncation_correction
         self.store = store
         self.faults = faults
-        self.queue = BoundedPacketQueue(
-            self.config.queue_capacity, self.config.queue_policy
-        )
+        self.queue = BoundedPacketQueue(self.config.queue_capacity)
         self.supervisor = ShardSupervisor(self.config.n_shards, self.config.retry)
         self.shards = [
             ShardWorker(
@@ -365,13 +364,13 @@ class StreamingSink:
                 shard.stats.crashes += 1
                 outcome = self.supervisor.record_failure(s, round_no)
             else:
-                # A stall hangs the worker for `stall_rounds`, after which
+                # A stall hangs the worker for STALL_ROUNDS, after which
                 # the supervisor gives up on it — same estimator loss as a
                 # crash, with the hang time as the effective backoff.
                 self.stats.stalls += 1
                 shard.stats.stalls += 1
                 outcome = self.supervisor.record_failure(
-                    s, round_no, backoff_override=self.faults.stall_rounds
+                    s, round_no, backoff_override=STALL_ROUNDS
                 )
             if outcome == QUARANTINED:
                 self._quarantine(s)

@@ -8,8 +8,8 @@ pragma).
 
 Lifecycle of a shard::
 
-    healthy --crash/stall--> down (backoff: base * 2^(restarts-1),
-      capped) --rounds elapse--> restore (checkpoint + WAL replay)
+    healthy --crash/stall--> down (backoff: BACKOFF_BASE * 2^(restarts-1),
+      capped at BACKOFF_CAP) --rounds elapse--> restore (checkpoint + WAL replay)
       --> healthy
     ... more than ``max_restarts`` failures --> quarantined (terminal)
 
@@ -24,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping
 
-__all__ = ["RetryPolicy", "ShardSupervisor"]
+__all__ = ["RetryPolicy", "ShardSupervisor", "BACKOFF_BASE", "BACKOFF_CAP"]
+
+#: Rounds a shard stays down after its first failure; doubles per restart.
+BACKOFF_BASE = 1
+#: Upper bound on the backoff, in rounds.
+BACKOFF_CAP = 8
 
 #: Supervisor states a shard can be in.
 HEALTHY = "healthy"
@@ -37,22 +42,16 @@ class RetryPolicy:
     """Restart budget and backoff schedule (in dispatch rounds)."""
 
     max_restarts: int = 3
-    backoff_base: int = 1
-    backoff_cap: int = 8
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.backoff_base < 1:
-            raise ValueError("backoff_base must be >= 1")
-        if self.backoff_cap < self.backoff_base:
-            raise ValueError("backoff_cap must be >= backoff_base")
 
     def backoff_rounds(self, restarts: int) -> int:
         """Rounds to stay down after the ``restarts``-th failure."""
         if restarts < 1:
             raise ValueError("restarts must be >= 1")
-        return min(self.backoff_cap, self.backoff_base * 2 ** (restarts - 1))
+        return min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (restarts - 1))
 
 
 class ShardSupervisor:

@@ -2,12 +2,13 @@
 
 Classical approaches infer per-link loss from *end-to-end* delivery
 ratios plus an assumed routing topology — exactly what breaks in dynamic
-networks, where the assumed tree goes stale between snapshots:
+networks, where the tree assumed at start-up goes stale as parents
+change:
 
 * :class:`TreeRatioTomography` — the telescoping per-subtree ratio
   estimator for convergecast trees (the textbook "traditional" method);
 * :class:`LinearTomography` — non-negative least squares over the
-  log-delivery path equations, optionally stacked over snapshot windows;
+  log-delivery path equations, one per origin;
 * :class:`EMTomography` — per-packet EM attributing each end-to-end loss
   fractionally to the links of the packet's *assumed* path.
 
@@ -20,7 +21,6 @@ axes of the paper's comparison.
 from repro.tomography.boolean import BadLinkDiagnosis, BooleanTomography
 from repro.tomography.base import (
     EndToEndObserver,
-    PathSnapshotPolicy,
     TomographyResult,
     hop_success_to_frame_loss,
 )
@@ -31,7 +31,6 @@ from repro.tomography.path_measurement import PathMeasurement
 
 __all__ = [
     "EndToEndObserver",
-    "PathSnapshotPolicy",
     "TomographyResult",
     "hop_success_to_frame_loss",
     "TreeRatioTomography",

@@ -1,16 +1,13 @@
 """Shared machinery for the end-to-end tomography baselines.
 
 End-to-end approaches see only (a) which packets each origin delivered
-and (b) an *assumed* routing topology obtained from periodic snapshots —
-they cannot see per-hop events. :class:`EndToEndObserver` collects those
-observations inside the simulator; concrete estimators subclass it and
-implement :meth:`solve`.
+and (b) an *assumed* routing topology — they cannot see per-hop events.
+:class:`EndToEndObserver` collects those observations inside the
+simulator; concrete estimators subclass it and implement :meth:`solve`.
 
-The snapshot staleness knob (:class:`PathSnapshotPolicy`) is the crux of
-the paper's comparison: with ``period=None`` the estimator trusts the
-topology captured at start-up forever; with a finite period the network
-pays ``num_nodes * node_id_bits`` control bits per refresh for fresher
-paths.
+The assumed topology is the crux of the paper's comparison: it is one
+snapshot of the routing tree taken when the run starts, which the
+estimator trusts for the whole run while parents change under it.
 """
 
 from __future__ import annotations
@@ -21,12 +18,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import DophyConfig
 from repro.net.packet import Packet
 from repro.net.simulation import CollectionSimulation, NullObserver
 
 __all__ = [
-    "PathSnapshotPolicy",
     "TomographyResult",
     "EndToEndObserver",
     "hop_success_to_frame_loss",
@@ -55,22 +50,6 @@ def hop_success_to_frame_loss_array(
         raise ValueError("max_attempts must be >= 1")
     s = np.clip(hop_success, 0.0, 1.0)
     return (1.0 - s) ** (1.0 / max_attempts)
-
-
-@dataclass(frozen=True)
-class PathSnapshotPolicy:
-    """How often the sink refreshes its view of the routing topology.
-
-    ``period=None`` — a single snapshot when the run starts (the classic
-    static-topology assumption). A finite period models periodic topology
-    reports; each refresh costs every node one parent-pointer upload.
-    """
-
-    period: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.period is not None and self.period <= 0:
-            raise ValueError("period must be > 0 or None")
 
 
 @dataclass
@@ -111,54 +90,31 @@ class _OriginStats:
 class EndToEndObserver(NullObserver):
     """Collects end-to-end outcomes and assumed paths during a run."""
 
-    def __init__(self, snapshot_policy: Optional[PathSnapshotPolicy] = None):
-        self.snapshot_policy = snapshot_policy or PathSnapshotPolicy()
+    def __init__(self) -> None:
         self._stats: Dict[int, _OriginStats] = defaultdict(_OriginStats)
-        #: Per-packet record: (origin, assumed path links, delivered, window idx).
-        self._packet_obs: List[Tuple[int, Tuple[Tuple[int, int], ...], bool, int]] = []
-        self._pending: Dict[Tuple[int, int], Tuple[int, Tuple[Tuple[int, int], ...], int]] = {}
+        #: Per-packet record: (origin, assumed path links, delivered).
+        self._packet_obs: List[Tuple[int, Tuple[Tuple[int, int], ...], bool]] = []
+        self._pending: Dict[Tuple[int, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
         self._assumed_paths: Dict[int, Tuple[int, ...]] = {}
-        self._snapshot_count = 0
-        self._window = 0
-        self._control_bits = 0
-        self._sim: Optional[CollectionSimulation] = None
         self._max_attempts = 1
 
     # -- simulation wiring ----------------------------------------------------------
 
     def attach(self, simulation: CollectionSimulation) -> None:
-        self._sim = simulation
+        """Capture every node's path to the sink as the run starts."""
         self._max_attempts = simulation.config.mac.max_attempts
-        self._take_snapshot(simulation, charge=False)  # initial view is free-ish
-        if self.snapshot_policy.period is not None:
-            simulation.sim.every(
-                self.snapshot_policy.period,
-                lambda: self._refresh_snapshot(simulation),
-            )
-
-    def _refresh_snapshot(self, simulation: CollectionSimulation) -> None:
-        self._take_snapshot(simulation, charge=True)
-        self._window += 1
-
-    def _take_snapshot(self, simulation: CollectionSimulation, *, charge: bool) -> None:
-        """Capture every node's current path to the sink."""
         routing = simulation.routing
         topo = simulation.topology
-        self._assumed_paths = {}
         for node in topo.nodes:
             if node == topo.sink:
                 continue
             try:
                 self._assumed_paths[node] = tuple(routing.path_to_sink(node))
             except RuntimeError:
-                continue  # temporarily unroutable; no assumed path
-        self._snapshot_count += 1
-        if charge:
-            id_bits = DophyConfig.node_id_bits(topo.num_nodes)
-            self._control_bits += topo.num_nodes * id_bits
+                continue  # unroutable at start-up; no assumed path
 
     def assumed_links(self, origin: int) -> Optional[Tuple[Tuple[int, int], ...]]:
-        """The links origin's packets are *assumed* to traverse right now."""
+        """The links origin's packets are *assumed* to traverse."""
         path = self._assumed_paths.get(origin)
         if path is None:
             return None
@@ -172,26 +128,23 @@ class EndToEndObserver(NullObserver):
             return  # cannot attribute this packet; skip it entirely
         stats = self._stats[packet.origin]
         stats.generated += 1
-        self._pending[packet.key] = (packet.origin, links, self._window)
+        self._pending[packet.key] = (packet.origin, links)
 
     def on_packet_delivered(self, packet: Packet, time: float) -> None:
         entry = self._pending.pop(packet.key, None)
         if entry is None:
             return
-        origin, links, window = entry
+        origin, links = entry
         self._stats[origin].delivered += 1
-        self._packet_obs.append((origin, links, True, window))
+        self._packet_obs.append((origin, links, True))
 
     def on_packet_dropped(self, packet: Packet, time: float) -> None:
         entry = self._pending.pop(packet.key, None)
         if entry is None:
             return
-        origin, links, window = entry
+        origin, links = entry
         self._stats[origin].dropped += 1
-        self._packet_obs.append((origin, links, False, window))
-
-    def control_overhead_bits(self) -> int:
-        return self._control_bits
+        self._packet_obs.append((origin, links, False))
 
     # -- data access for solvers ----------------------------------------------------------
 
@@ -202,8 +155,8 @@ class EndToEndObserver(NullObserver):
     @property
     def packet_observations(
         self,
-    ) -> List[Tuple[int, Tuple[Tuple[int, int], ...], bool, int]]:
-        """(origin, assumed links, delivered, snapshot window) per packet."""
+    ) -> List[Tuple[int, Tuple[Tuple[int, int], ...], bool]]:
+        """(origin, assumed links, delivered) per packet."""
         return self._packet_obs
 
     def delivery_ratios(self) -> Dict[int, float]:
@@ -214,19 +167,6 @@ class EndToEndObserver(NullObserver):
             if r is not None:
                 out[origin] = r
         return out
-
-    def windowed_observations(
-        self,
-    ) -> Dict[int, List[Tuple[int, Tuple[Tuple[int, int], ...], bool]]]:
-        """Observations grouped by snapshot window."""
-        out: Dict[int, List[Tuple[int, Tuple[Tuple[int, int], ...], bool]]] = defaultdict(list)
-        for origin, links, delivered, window in self._packet_obs:
-            out[window].append((origin, links, delivered))
-        return out
-
-    @property
-    def snapshots_taken(self) -> int:
-        return self._snapshot_count
 
     # -- the estimator interface -----------------------------------------------------------
 

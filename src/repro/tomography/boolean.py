@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.tomography.base import (
-    EndToEndObserver,
-    PathSnapshotPolicy,
-    TomographyResult,
-)
+from repro.tomography.base import EndToEndObserver, TomographyResult
 from repro.utils.validation import check_probability
 
 __all__ = ["BooleanTomography", "BadLinkDiagnosis"]
@@ -54,14 +50,13 @@ class BooleanTomography(EndToEndObserver):
 
     def __init__(
         self,
-        snapshot_policy: Optional[PathSnapshotPolicy] = None,
         *,
         good_path_delivery: float = 0.9,
         min_packets_per_origin: int = 10,
     ):
         """``good_path_delivery``: delivery ratio at/above which a path is
         deemed good (all its links exonerated)."""
-        super().__init__(snapshot_policy)
+        super().__init__()
         check_probability(good_path_delivery, "good_path_delivery")
         if min_packets_per_origin < 1:
             raise ValueError("min_packets_per_origin must be >= 1")
@@ -73,7 +68,7 @@ class BooleanTomography(EndToEndObserver):
         per_origin: Dict[int, Tuple[int, int, Tuple[Link, ...]]] = {}
         counts: Dict[int, List[int]] = defaultdict(lambda: [0, 0])  # [delivered, total]
         links_of: Dict[int, Tuple[Link, ...]] = {}
-        for origin, links, delivered, _ in self.packet_observations:
+        for origin, links, delivered in self.packet_observations:
             c = counts[origin]
             c[1] += 1
             if delivered:

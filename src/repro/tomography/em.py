@@ -11,46 +11,35 @@ it fractionally according to the current hop-success estimates:
 The M-step re-estimates each link's hop success from its fractional
 success/failure tallies. Statistically the most efficient of the
 end-to-end baselines — but it inherits their core weakness: the *assumed*
-path comes from the latest topology snapshot, not the path the packet
+path comes from the start-up topology snapshot, not the path the packet
 actually took.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.tomography.base import (
     EndToEndObserver,
-    PathSnapshotPolicy,
     TomographyResult,
     hop_success_to_frame_loss_array,
 )
 
-__all__ = ["EMTomography"]
+__all__ = ["EMTomography", "MAX_ITERATIONS", "TOLERANCE"]
+
+#: EM iteration budget.
+MAX_ITERATIONS = 200
+#: Convergence threshold on the largest hop-success change per iteration.
+TOLERANCE = 1e-6
 
 
 class EMTomography(EndToEndObserver):
     """Expectation-maximization over assumed per-packet paths."""
 
     method_name = "em"
-
-    def __init__(
-        self,
-        snapshot_policy: Optional[PathSnapshotPolicy] = None,
-        *,
-        max_iterations: int = 200,
-        tolerance: float = 1e-6,
-    ):
-        super().__init__(snapshot_policy)
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
 
     def solve(self) -> TomographyResult:
         observations = self.packet_observations
@@ -59,7 +48,7 @@ class EMTomography(EndToEndObserver):
         # Aggregate identical (links, delivered) rows for speed.
         grouped: Dict[Tuple[Tuple[Tuple[int, int], ...], bool], int] = defaultdict(int)
         support: Dict[Tuple[int, int], int] = defaultdict(int)
-        for _, links, delivered, _ in observations:
+        for _, links, delivered in observations:
             if not links:
                 continue
             grouped[(links, delivered)] += 1
@@ -74,7 +63,7 @@ class EMTomography(EndToEndObserver):
             return TomographyResult(losses={}, converged=False, method=self.method_name)
         s = np.full(k, 0.9)  # initial hop-success guess
         converged = False
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             succ = np.zeros(k)
             fail = np.zeros(k)
             for (links, delivered), count in grouped.items():
@@ -100,7 +89,7 @@ class EMTomography(EndToEndObserver):
                     succ[j] += count * succ_probs[pos]
             new_s = np.where(succ + fail > 0, succ / np.maximum(succ + fail, 1e-12), s)
             new_s = np.clip(new_s, 1e-6, 1.0)
-            if np.max(np.abs(new_s - s)) < self.tolerance:
+            if np.max(np.abs(new_s - s)) < TOLERANCE:
                 s = new_s
                 converged = True
                 break

@@ -1,38 +1,39 @@
 """Linear-algebraic loss tomography (NNLS over log-delivery equations).
 
-Each origin contributes one equation per snapshot window:
+Each origin with at least :data:`MIN_PACKETS_PER_EQUATION` resolved
+packets contributes one equation:
 
-    -log R_w(origin) = sum over links l of assumed path  x_l,
+    -log R(origin) = sum over links l of assumed path  x_l,
     x_l = -log s_l >= 0,
 
-with ``R_w`` the origin's delivery ratio during window *w* and the path
-taken from that window's topology snapshot. Solving the stacked system
-with non-negative least squares yields hop successes ``s_l = exp(-x_l)``,
-then frame losses via the ARQ inversion. Stacking windows lets the
-method exploit snapshot refreshes; with a single stale snapshot it is
-the classic static formulation.
+with ``R`` the origin's delivery ratio and the path taken from the
+topology snapshot captured at start-up. Solving the system with
+non-negative least squares yields hop successes ``s_l = exp(-x_l)``,
+then frame losses via the ARQ inversion — the classic static
+formulation.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy import optimize
 
 from repro.tomography.base import (
     EndToEndObserver,
-    PathSnapshotPolicy,
     TomographyResult,
     hop_success_to_frame_loss_array,
 )
 
-__all__ = ["LinearTomography"]
+__all__ = ["LinearTomography", "MIN_PACKETS_PER_EQUATION"]
 
 #: Delivery ratios below this are clamped (log of zero is unusable).
 _MIN_RATIO = 1e-3
+#: Fewest resolved packets an origin needs before it yields an equation.
+MIN_PACKETS_PER_EQUATION = 5
 
 
 class LinearTomography(EndToEndObserver):
@@ -40,34 +41,24 @@ class LinearTomography(EndToEndObserver):
 
     method_name = "linear_nnls"
 
-    def __init__(
-        self,
-        snapshot_policy: Optional[PathSnapshotPolicy] = None,
-        *,
-        min_packets_per_equation: int = 5,
-    ):
-        super().__init__(snapshot_policy)
-        if min_packets_per_equation < 1:
-            raise ValueError("min_packets_per_equation must be >= 1")
-        self.min_packets_per_equation = min_packets_per_equation
-
     def solve(self) -> TomographyResult:
-        # Build equations: one per (window, origin) with enough traffic.
+        # Build equations: one per origin with enough traffic.
+        per_origin: Dict[int, List[Tuple[Tuple[Tuple[int, int], ...], bool]]] = (
+            defaultdict(list)
+        )
+        for origin, links, delivered in self.packet_observations:
+            per_origin[origin].append((links, delivered))
         equations: List[Tuple[Tuple[Tuple[int, int], ...], float, int]] = []
-        for window, obs in self.windowed_observations().items():
-            per_origin: Dict[int, List[Tuple[Tuple[Tuple[int, int], ...], bool]]] = defaultdict(list)
-            for origin, links, delivered in obs:
-                per_origin[origin].append((links, delivered))
-            for origin, rows in per_origin.items():
-                n = len(rows)
-                if n < self.min_packets_per_equation:
-                    continue
-                delivered = sum(1 for _, d in rows if d)
-                ratio = max(_MIN_RATIO, delivered / n)
-                # All rows in a window share the snapshot path; take the first.
-                links = rows[0][0]
-                if links:
-                    equations.append((links, ratio, n))
+        for origin, rows in per_origin.items():
+            n = len(rows)
+            if n < MIN_PACKETS_PER_EQUATION:
+                continue
+            delivered = sum(1 for _, d in rows if d)
+            ratio = max(_MIN_RATIO, delivered / n)
+            # Every row of an origin shares the snapshot path; take the first.
+            links = rows[0][0]
+            if links:
+                equations.append((links, ratio, n))
         if not equations:
             return TomographyResult(losses={}, converged=False, method=self.method_name)
 

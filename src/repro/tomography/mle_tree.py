@@ -15,11 +15,10 @@ tree go stale the moment parents change.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.tomography.base import (
     EndToEndObserver,
-    PathSnapshotPolicy,
     TomographyResult,
     hop_success_to_frame_loss,
 )
@@ -32,13 +31,10 @@ class TreeRatioTomography(EndToEndObserver):
 
     method_name = "tree_ratio"
 
-    def __init__(self, snapshot_policy: Optional[PathSnapshotPolicy] = None):
-        super().__init__(snapshot_policy)
-
     def solve(self) -> TomographyResult:
         ratios = self.delivery_ratios()
-        # Assumed parent of each origin = first hop of its assumed path at the
-        # *latest* snapshot (the sink's best current knowledge).
+        # Assumed parent of each origin = first hop of its assumed path in
+        # the start-up snapshot (the sink's only knowledge of the tree).
         losses: Dict[Tuple[int, int], float] = {}
         support: Dict[Tuple[int, int], int] = {}
         converged = True
@@ -65,11 +61,7 @@ class TreeRatioTomography(EndToEndObserver):
             losses[first_link] = hop_success_to_frame_loss(
                 hop_success, self.max_attempts
             )
-            n = sum(
-                1
-                for o, lks, _, _ in self.packet_observations
-                if o == origin
-            )
+            n = sum(1 for o, _, _ in self.packet_observations if o == origin)
             support[first_link] = n
         return TomographyResult(
             losses=losses, support=support, converged=converged, method=self.method_name

@@ -8,8 +8,8 @@ over several, optionally sharding the replicates over a process pool
 (``jobs``) — see :mod:`repro.exec`.
 
 Everything an :class:`ApproachSpec` holds must be picklable: factories
-are frozen-dataclass callables and extractors are module-level functions
-(never closures), because specs ride inside
+are classes or frozen-dataclass callables and extractors are module-level
+functions (never closures), because specs ride inside
 :class:`repro.exec.ComparisonTask` payloads to pool workers.
 ``tests/workloads/test_dispatchable.py`` enforces this for every spec
 this module exports.
@@ -28,7 +28,6 @@ from repro.coding.baseline_codes import IntegerCode
 from repro.core.config import DophyConfig
 from repro.core.dophy import DophySystem
 from repro.net.simulation import CollectionObserver, SimulationResult
-from repro.tomography.base import PathSnapshotPolicy
 from repro.tomography.em import EMTomography
 from repro.tomography.linear import LinearTomography
 from repro.tomography.mle_tree import TreeRatioTomography
@@ -64,8 +63,8 @@ class ApproachOutcome:
     annotation_bits: List[int] = field(default_factory=list)
     annotation_hops: List[int] = field(default_factory=list)
     control_bits: int = 0
-    #: Failure taxonomy counts (decode-failure causes, sink outages,
-    #: duplicates, salvage activity); {} for approaches without one.
+    #: Failure taxonomy counts (decode-failure causes, duplicates,
+    #: salvage activity); {} for approaches without one.
     failure_counts: Dict[str, int] = field(default_factory=dict)
 
 
@@ -80,8 +79,8 @@ class ApproachSpec:
 
 # -- standard approach specs ----------------------------------------------------------
 #
-# Factories are frozen-dataclass callables and extractors module-level
-# functions so every spec pickles to process-pool workers.
+# Factories are classes or frozen-dataclass callables and extractors
+# module-level functions so every spec pickles to process-pool workers.
 
 
 def _failure_taxonomy(report) -> Dict[str, int]:
@@ -89,7 +88,6 @@ def _failure_taxonomy(report) -> Dict[str, int]:
     that predate a counter, e.g. the Huffman variant's)."""
     counts: Dict[str, int] = dict(getattr(report, "decode_failure_causes", {}) or {})
     counts["decode_failures"] = getattr(report, "decode_failures", 0)
-    counts["sink_outage_discards"] = getattr(report, "sink_outage_discards", 0)
     counts["duplicate_deliveries"] = getattr(report, "duplicate_deliveries", 0)
     counts["salvaged_packets"] = getattr(report, "salvaged_packets", 0)
     counts["salvaged_hops"] = getattr(report, "salvaged_hops", 0)
@@ -182,37 +180,16 @@ def path_measurement_approach(
     )
 
 
-@dataclass(frozen=True)
-class _EndToEndFactory:
-    cls: type
-    policy: Optional[PathSnapshotPolicy] = None
-
-    def __call__(self):
-        return self.cls(self.policy)
+def tree_ratio_approach(name: str = "tree_ratio") -> ApproachSpec:
+    return ApproachSpec(name, TreeRatioTomography, _extract_end_to_end)
 
 
-def _end_to_end_spec(
-    name: str, cls: type, policy: Optional[PathSnapshotPolicy]
-) -> ApproachSpec:
-    return ApproachSpec(name, _EndToEndFactory(cls, policy), _extract_end_to_end)
+def linear_approach(name: str = "linear") -> ApproachSpec:
+    return ApproachSpec(name, LinearTomography, _extract_end_to_end)
 
 
-def tree_ratio_approach(
-    name: str = "tree_ratio", policy: Optional[PathSnapshotPolicy] = None
-) -> ApproachSpec:
-    return _end_to_end_spec(name, TreeRatioTomography, policy)
-
-
-def linear_approach(
-    name: str = "linear", policy: Optional[PathSnapshotPolicy] = None
-) -> ApproachSpec:
-    return _end_to_end_spec(name, LinearTomography, policy)
-
-
-def em_approach(
-    name: str = "em", policy: Optional[PathSnapshotPolicy] = None
-) -> ApproachSpec:
-    return _end_to_end_spec(name, EMTomography, policy)
+def em_approach(name: str = "em") -> ApproachSpec:
+    return ApproachSpec(name, EMTomography, _extract_end_to_end)
 
 
 # -- execution ---------------------------------------------------------------------------

@@ -76,25 +76,9 @@ class TestFrequencyTable:
         t = FrequencyTable([1000, 1])
         assert t.entropy_bits() < 0.02
 
-    def test_expected_code_length_is_cross_entropy(self):
-        # Coding with the true distribution equals its entropy.
-        t = FrequencyTable([1, 1, 2])
-        truth = t.probabilities()
-        assert math.isclose(t.expected_code_length(truth), t.entropy_bits())
-
-    def test_expected_code_length_mismatch_exceeds_entropy(self):
-        model = FrequencyTable([1, 1])
-        truth = [0.9, 0.1]
-        h = -sum(p * math.log2(p) for p in truth)
-        assert model.expected_code_length(truth) > h
-
-    def test_expected_code_length_length_mismatch(self):
-        with pytest.raises(ValueError):
-            FrequencyTable([1, 1]).expected_code_length([1.0])
-
     def test_serialized_size(self):
         t = FrequencyTable.uniform(5)
-        assert t.serialized_size_bits(bits_per_frequency=12) == 8 + 5 * 12
+        assert t.serialized_size_bits() == 8 + 5 * 12
 
     def test_equality_and_hash(self):
         a = FrequencyTable([1, 2, 3])

@@ -71,7 +71,7 @@ class TestModelManager:
         assert new.probability(2) > 0.8
 
     def test_estimation_window_drops_stale(self):
-        mm = self.make(update_period=10.0, estimation_window=10.0)
+        mm = self.make(update_period=10.0)
         mm.observe_symbols([3] * 100, time=1.0)
         mm.maybe_update(10.0)
         # New observations only; old ones now outside the window.
@@ -86,7 +86,7 @@ class TestModelManager:
         assert mm.total_dissemination_bits == 0
 
     def test_dissemination_accounting(self):
-        mm = self.make(num_nodes_for_dissemination=100, bits_per_frequency=12)
+        mm = self.make(num_nodes_for_dissemination=100)
         mm.observe_symbols([0] * 50, time=1.0)
         mm.maybe_update(10.0)
         per_node = 8 + 4 * 12  # header + 4 symbols

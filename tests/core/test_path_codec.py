@@ -52,24 +52,11 @@ class TestPathRankModel:
 
     def test_table_skewed_toward_rank_zero(self):
         topo = grid_topology(4, 4, diagonal=True)
-        model = PathRankModel(topo, rank_decay=0.3)
+        model = PathRankModel(topo)
         probs = model.table.probabilities()
         assert probs == sorted(probs, reverse=True)
         assert probs[0] > 0.5
 
-    def test_invalid_decay(self):
-        topo = line_topology(3)
-        with pytest.raises(ValueError):
-            PathRankModel(topo, rank_decay=0.0)
-        with pytest.raises(ValueError):
-            PathRankModel(topo, rank_decay=1.0)
-
-    def test_expected_bits_per_hop(self):
-        topo = grid_topology(3, 3, diagonal=True)
-        model = PathRankModel(topo)
-        # Everything rank 0 -> cost = -log2 P(0), well under 1 bit.
-        assert model.expected_bits_per_hop([0] * 100) < 1.0
-        assert model.expected_bits_per_hop([]) == 0.0
 
 
 def make_codec(topo, **config_kw):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net.link import uniform_loss_assigner
-from repro.net.mac import MacConfig
 from repro.net.routing import RoutingConfig
 from repro.net.simulation import CollectionSimulation, SimulationConfig
 from repro.net.sim import Simulator
@@ -67,36 +66,3 @@ class TestTopologyEdges:
     def test_max_depth_grid(self):
         assert grid_topology(3, 3).max_depth == 4  # manhattan corner-to-corner
         assert grid_topology(3, 3, diagonal=True).max_depth == 2
-
-
-class TestMacAckLossSystemLevel:
-    def test_system_runs_with_lossy_acks(self):
-        """End-to-end: ACK losses cause duplicates but never deadlock, and
-        Dophy's receiver-side counts stay accurate."""
-        from repro.core.config import DophyConfig
-        from repro.core.dophy import DophySystem
-
-        dophy = DophySystem(DophyConfig())
-        topo = line_topology(4)
-        sim = CollectionSimulation(
-            topo,
-            seed=72,
-            config=SimulationConfig(
-                duration=300.0,
-                traffic_period=2.0,
-                mac=MacConfig(max_retries=30, ack_losses=True),
-                routing=RoutingConfig(etx_noise_std=0.0),
-            ),
-            link_assigner=uniform_loss_assigner(0.1, 0.3),
-            observers=[dophy],
-        )
-        result = sim.run()
-        assert result.delivery_ratio > 0.9
-        report = dophy.report()
-        assert report.decode_failures == 0
-        # Receiver-side counts measure the *forward* link, so estimates
-        # stay close to its configured loss even with lossy ACKs.
-        truth = result.ground_truth.true_loss_map(kind="model")
-        for link, est in report.estimates.items():
-            if est.n_samples >= 100:
-                assert abs(est.loss - truth[link]) < 0.08

@@ -22,7 +22,7 @@ import inspect
 import pytest
 
 from repro.core import DophyConfig, DophySystem
-from repro.net.faults import FaultPlan, SinkOutage
+from repro.net.faults import FaultPlan
 from repro.net.fastsim import FastArqMac
 from repro.net.routing import RoutingConfig
 from repro.sanitize import diff_fingerprints, sanitize_run
@@ -164,9 +164,9 @@ def test_dophy_estimator_evidence_identical(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fault_injection_identical(seed):
-    """Packet-fault injection (bit corruption, truncation, duplicates,
-    sink outages) draws from its own streams, so it perturbs neither
-    engine — and its observable effects must coincide."""
+    """Packet-fault injection (bit corruption, truncation) draws from
+    its own streams, so it perturbs neither engine — and its observable
+    effects must coincide."""
 
     def faulty_dophy():
         return DophySystem(
@@ -175,8 +175,6 @@ def test_fault_injection_identical(seed):
                 seed=seed,
                 corruption_rate=0.05,
                 truncation_rate=0.05,
-                duplication_rate=0.05,
-                sink_outages=[SinkOutage(20.0, 30.0)],
             ),
         )
 
@@ -190,7 +188,7 @@ def test_fault_injection_identical(seed):
     report_event = dophy_event.report()
     report_array = dophy_array.report()
     assert report_array == report_event
-    assert report_event.decode_failures + report_event.sink_outage_discards > 0
+    assert report_event.decode_failures > 0
 
 
 def test_gilbert_elliott_chain_replay_classification():
@@ -205,23 +203,6 @@ def test_gilbert_elliott_chain_replay_classification():
     assert isinstance(simulation.mac, FastArqMac)
     edges = len(list(simulation.topology.directed_edges()))
     assert simulation.mac.bufferable_edges == edges
-
-
-def test_ack_losses_fall_back_entirely():
-    """With lossy ACKs the reverse link's draws interleave into the
-    exchange; the array engine keeps correctness by running the oracle
-    MAC wholesale — and stays bit-identical."""
-    from repro.net.mac import MacConfig
-
-    base = dynamic_rgg_scenario(num_nodes=12).with_config(
-        duration=60.0, mac=MacConfig(ack_losses=True)
-    )
-    event = base.make_simulation(seed=5).run()
-    sim_array = base.with_config(engine="array").make_simulation(seed=5)
-    assert isinstance(sim_array.mac, FastArqMac)
-    assert sim_array.mac.bufferable_edges == 0
-    array = sim_array.run()
-    _assert_results_identical(event, array)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -63,9 +63,9 @@ class TestGroundTruth:
 
     def test_record_hop_accumulates(self):
         gt, _ = self.make_gt()
-        gt.record_hop(1, 0, MacResult(3, 3, True, 1.0))
-        gt.record_hop(1, 0, MacResult(1, 1, True, 2.0))
-        gt.record_hop(1, 0, MacResult(4, None, False, 3.0))
+        gt.record_hop(1, 0, MacResult(3, 3, 1.0))
+        gt.record_hop(1, 0, MacResult(1, 1, 2.0))
+        gt.record_hop(1, 0, MacResult(4, None, 3.0))
         usage = gt.link_usage[(1, 0)]
         assert usage.exchanges == 3
         assert usage.frames_sent == 8
@@ -102,7 +102,7 @@ class TestGroundTruth:
         # Drive some frames through the channel so empirical exists.
         for i in range(2000):
             channel.transmit(1, 0, float(i))
-        gt.record_hop(1, 0, MacResult(1, 1, True, 1.0))
+        gt.record_hop(1, 0, MacResult(1, 1, 1.0))
         emp = gt.true_loss((1, 0), kind="empirical")
         model = gt.true_loss((1, 0), kind="model")
         assert abs(emp - 0.2) < 0.03
@@ -113,12 +113,12 @@ class TestGroundTruth:
     def test_true_loss_map_covers_used_links_only(self):
         gt, channel = self.make_gt()
         channel.transmit(1, 0, 0.0)
-        gt.record_hop(1, 0, MacResult(1, 1, True, 1.0))
+        gt.record_hop(1, 0, MacResult(1, 1, 1.0))
         losses = gt.true_loss_map(kind="empirical")
         assert set(losses) == {(1, 0)}
 
     def test_observation_window(self):
         gt, _ = self.make_gt()
         gt.record_generated(Packet(origin=1, seqno=0, created_at=5.0))
-        gt.record_hop(1, 0, MacResult(2, 2, True, 9.0))
+        gt.record_hop(1, 0, MacResult(2, 2, 9.0))
         assert gt.observation_window == (5.0, 9.0)

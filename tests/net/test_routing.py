@@ -62,7 +62,7 @@ class TestInitialTree:
 class TestDynamics:
     def test_no_churn_without_noise_or_drift(self):
         topo = grid_topology(4, 4, diagonal=True)
-        cfg = RoutingConfig(etx_noise_std=0.0, data_driven_updates=False)
+        cfg = RoutingConfig(etx_noise_std=0.0)
         eng = build_engine(topo, config=cfg)
         initial = eng.tree_snapshot()
         for t in range(1, 20):
@@ -110,20 +110,12 @@ class TestDynamics:
 
     def test_data_driven_updates_shift_estimates(self):
         topo = line_topology(3)
-        cfg = RoutingConfig(data_driven_updates=True, data_alpha=0.5)
+        cfg = RoutingConfig(data_alpha=0.5)
         eng = build_engine(topo, config=cfg)
         before = eng.estimated_etx(1, 0)
         for _ in range(10):
             eng.on_data_sample(1, 0, attempts=8, time=1.0)
         assert eng.estimated_etx(1, 0) > before
-
-    def test_data_driven_disabled(self):
-        topo = line_topology(3)
-        cfg = RoutingConfig(data_driven_updates=False)
-        eng = build_engine(topo, config=cfg)
-        before = eng.estimated_etx(1, 0)
-        eng.on_data_sample(1, 0, attempts=20, time=1.0)
-        assert eng.estimated_etx(1, 0) == before
 
 
 class TestChurnAccounting:

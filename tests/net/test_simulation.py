@@ -232,8 +232,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(traffic_period=-1.0)
         with pytest.raises(ValueError):
-            SimulationConfig(traffic_jitter=1.0)
-        with pytest.raises(ValueError):
             SimulationConfig(max_hops=0)
         with pytest.raises(ValueError):
             SimulationConfig(forward_delay=-0.1)

@@ -116,30 +116,13 @@ class TestEdgesQueries:
         t = topology_from_edges([(2, 1), (1, 0)])
         assert t.undirected_edges() == ((0, 1), (1, 2))
 
-    def test_upstream_edges_point_sinkward(self):
-        # Diamond: 0-1, 0-2, 1-3, 2-3
-        t = topology_from_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
-        ups = t.upstream_edges()
-        assert (1, 0) in ups and (2, 0) in ups
-        assert (3, 1) in ups and (3, 2) in ups
-        # Sink never forwards upward; downward edges excluded.
-        assert (0, 1) not in ups
-        # Equal-depth edges are kept both ways (siblings can relay laterally).
-        assert (1, 2) not in ups  # not an edge at all
-
-    def test_upstream_includes_equal_depth(self):
-        # Triangle 0-1, 0-2, 1-2: nodes 1 and 2 both depth 1.
-        t = topology_from_edges([(0, 1), (0, 2), (1, 2)])
-        ups = t.upstream_edges()
-        assert (1, 2) in ups and (2, 1) in ups
-
 
 class TestMemoizedAccessors:
     """The derived edge views are computed once and cannot be mutated."""
 
     def test_repeated_calls_return_equal_cached_values(self):
         t = random_geometric_topology(30, seed=5)
-        for accessor in (t.undirected_edges, t.directed_edges, t.upstream_edges):
+        for accessor in (t.undirected_edges, t.directed_edges):
             first = accessor()
             second = accessor()
             assert first == second
@@ -148,7 +131,7 @@ class TestMemoizedAccessors:
 
     def test_cached_views_are_immutable(self):
         t = grid_topology(3, 3, diagonal=True)
-        for accessor in (t.undirected_edges, t.directed_edges, t.upstream_edges):
+        for accessor in (t.undirected_edges, t.directed_edges):
             view = accessor()
             assert isinstance(view, tuple)
             with pytest.raises((TypeError, AttributeError)):

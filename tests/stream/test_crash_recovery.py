@@ -63,7 +63,7 @@ class TestKillRestore:
 
     def test_stall_is_recovered_like_a_crash(self, bundle, new_store):
         _, clean = run_sink(bundle, new_store())
-        faults = ShardFaultPlan(seed=3, stall_at=((2, 2),), stall_rounds=3)
+        faults = ShardFaultPlan(seed=3, stall_at=((2, 2),))
         sink, snaps = run_sink(bundle, new_store(), faults=faults)
         assert sink.stats.stalls == 1
         assert sink.stats.restores == 1
@@ -160,8 +160,9 @@ class TestProcessResume:
 
     def test_resume_ignores_the_removed_pool_settings(self, bundle, new_store):
         """A manifest from before the process-pool apply was removed
-        carries its three settings in the config; resume ignores them
-        and the next manifest no longer writes them."""
+        carries its three settings in the config, and one from before the
+        backoff settings became constants carries those in ``retry``;
+        resume ignores them and the next manifest no longer writes them."""
         faults = ShardFaultPlan(seed=3, crash_rate=0.08)
         _, uninterrupted = run_sink(bundle, new_store(), faults=faults)
         store = new_store()
@@ -170,6 +171,7 @@ class TestProcessResume:
         next(gen)
         manifest = load_checkpoint(store, MANIFEST)
         manifest["config"].update(jobs=2, task_timeout=None, max_retries=2)
+        manifest["config"]["retry"].update(backoff_base=1, backoff_cap=8)
         save_checkpoint(store, MANIFEST, manifest)
         resumed = StreamingSink.resume(store, faults=faults)
         assert resumed.config == CFG
@@ -179,6 +181,7 @@ class TestProcessResume:
         )
         config = load_checkpoint(store, MANIFEST)["config"]
         assert not {"jobs", "task_timeout", "max_retries"} & set(config)
+        assert set(config["retry"]) == {"max_restarts"}
 
     def test_resume_requires_the_original_stream(self, bundle, new_store):
         store = new_store()
@@ -314,22 +317,22 @@ class TestCrashInsideGroup:
 
 class TestSupervisor:
     def test_backoff_schedule_is_exponential_and_capped(self):
-        policy = RetryPolicy(max_restarts=10, backoff_base=1, backoff_cap=8)
+        policy = RetryPolicy(max_restarts=10)
         assert [policy.backoff_rounds(n) for n in range(1, 7)] == [
             1, 2, 4, 8, 8, 8,
         ]
 
     def test_lifecycle_healthy_down_restored(self):
-        sup = ShardSupervisor(2, RetryPolicy(max_restarts=2, backoff_base=2))
+        sup = ShardSupervisor(2, RetryPolicy(max_restarts=2))
         assert sup.state(0) == HEALTHY
         assert sup.record_failure(0, round_no=5) == DOWN
-        assert not sup.due_for_restore(0, 6)
-        assert sup.due_for_restore(0, 7)
+        assert not sup.due_for_restore(0, 5)
+        assert sup.due_for_restore(0, 6)
         sup.mark_restored(0)
         assert sup.state(0) == HEALTHY
 
     def test_budget_exhaustion_is_terminal(self):
-        sup = ShardSupervisor(1, RetryPolicy(max_restarts=1, backoff_base=1))
+        sup = ShardSupervisor(1, RetryPolicy(max_restarts=1))
         assert sup.record_failure(0, 1) == DOWN
         sup.mark_restored(0)
         assert sup.record_failure(0, 2) == QUARANTINED

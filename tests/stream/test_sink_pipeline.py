@@ -148,7 +148,7 @@ class TestQueue:
         with pytest.raises(ValueError):
             BoundedPacketQueue(0)
         with pytest.raises(ValueError):
-            BoundedPacketQueue(4, policy="random")
+            SinkConfig(queue_policy="random")
 
     def test_snapshot_restore_roundtrip(self):
         q = BoundedPacketQueue(4)

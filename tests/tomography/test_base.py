@@ -7,11 +7,7 @@ from repro.net.packet import Packet
 from repro.net.routing import RoutingConfig
 from repro.net.simulation import CollectionSimulation, SimulationConfig
 from repro.net.topology import line_topology
-from repro.tomography.base import (
-    EndToEndObserver,
-    PathSnapshotPolicy,
-    hop_success_to_frame_loss,
-)
+from repro.tomography.base import EndToEndObserver, hop_success_to_frame_loss
 
 
 class TestHopSuccessConversion:
@@ -39,23 +35,14 @@ class TestHopSuccessConversion:
             hop_success_to_frame_loss(0.5, 0)
 
 
-class TestSnapshotPolicy:
-    def test_default_is_single_snapshot(self):
-        assert PathSnapshotPolicy().period is None
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            PathSnapshotPolicy(period=0.0)
-
-
 class TestEndToEndObserver:
-    def run_observer(self, policy=None, duration=60.0):
-        obs = EndToEndObserver(policy)
+    def run_observer(self):
+        obs = EndToEndObserver()
         sim = CollectionSimulation(
             line_topology(4),
             seed=1,
             config=SimulationConfig(
-                duration=duration,
+                duration=60.0,
                 traffic_period=5.0,
                 routing=RoutingConfig(etx_noise_std=0.0),
             ),
@@ -74,7 +61,7 @@ class TestEndToEndObserver:
 
     def test_packet_observations_match_ground_truth(self):
         obs, result = self.run_observer()
-        delivered_count = sum(1 for _, _, d, _ in obs.packet_observations if d)
+        delivered_count = sum(1 for _, _, d in obs.packet_observations if d)
         assert delivered_count == result.ground_truth.packets_delivered
 
     def test_assumed_links_on_line(self):
@@ -84,18 +71,7 @@ class TestEndToEndObserver:
 
     def test_single_snapshot_free(self):
         obs, _ = self.run_observer()
-        assert obs.snapshots_taken == 1
         assert obs.control_overhead_bits() == 0
-
-    def test_periodic_snapshots_cost_bits(self):
-        obs, _ = self.run_observer(PathSnapshotPolicy(period=10.0), duration=60.0)
-        assert obs.snapshots_taken >= 6
-        assert obs.control_overhead_bits() > 0
-
-    def test_windows_advance_with_snapshots(self):
-        obs, _ = self.run_observer(PathSnapshotPolicy(period=15.0), duration=60.0)
-        windows = obs.windowed_observations()
-        assert len(windows) >= 3
 
     def test_solve_is_abstract(self):
         with pytest.raises(NotImplementedError):

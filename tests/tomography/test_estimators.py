@@ -10,7 +10,6 @@ from repro.net.topology import grid_topology, line_topology, random_geometric_to
 from repro.tomography.em import EMTomography
 from repro.tomography.linear import LinearTomography
 from repro.tomography.mle_tree import TreeRatioTomography
-from repro.tomography.base import PathSnapshotPolicy
 
 
 def run_with(observers, topo, seed, *, duration=400.0, noise=0.0, max_retries=2,
@@ -84,18 +83,6 @@ class TestLinear:
         tomo = obs.solve()
         assert tomo.losses == {} and not tomo.converged
 
-    def test_min_packets_threshold_validated(self):
-        with pytest.raises(ValueError):
-            LinearTomography(min_packets_per_equation=0)
-
-    def test_windowed_snapshots_used(self):
-        obs = LinearTomography(PathSnapshotPolicy(period=60.0))
-        result = run_with([obs], grid_topology(3, 3), seed=35, duration=300.0)
-        tomo = obs.solve()
-        assert tomo.losses
-        errs = errors_vs_truth(result, tomo.losses)
-        assert sum(errs) / len(errs) < 0.2
-
 
 class TestEM:
     def test_no_data_graceful(self):
@@ -104,16 +91,10 @@ class TestEM:
         assert tomo.losses == {} and not tomo.converged
 
     def test_converges_flag(self):
-        obs = EMTomography(max_iterations=200)
+        obs = EMTomography()
         run_with([obs], line_topology(3), seed=36, duration=100.0)
         tomo = obs.solve()
         assert tomo.converged
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EMTomography(max_iterations=0)
-        with pytest.raises(ValueError):
-            EMTomography(tolerance=0.0)
 
     def test_em_beats_or_matches_ratio_on_static_grid(self):
         """EM uses per-packet info; ratio only aggregates — EM should not be
