@@ -2,14 +2,20 @@
 
 Two implementations share one contract:
 
-* :class:`EventQueue` — a single binary heap of handle objects (the
-  original engine's queue, kept as the reference implementation);
+* :class:`EventQueue` — a single binary heap of entries (the original
+  engine's queue, kept as the reference implementation);
 * :class:`CalendarQueue` — a bucketed event wheel: pending events are
   partitioned into fixed-width time buckets, future buckets are plain
   append-only lists, and only the bucket currently being drained is kept
   heap-ordered. Pushing into the future is O(1) and the per-event heap
   comparisons shrink from the whole queue to one bucket, which is what
   makes the array simulation kernel's event loop cheap.
+
+An entry is the tuple ``(time, seq, callback, args)``: ``pop`` returns
+it and the simulator calls ``callback(*args)``. Scheduling ``(fn, args)``
+instead of a closure keeps the hot path free of per-event lambda
+allocations, and a plain tuple is the cheapest entry to build and
+compare.
 
 **Ordering contract (pinned by tests/net/test_calendar_queue.py):**
 events pop in ``(time, seq)`` order, where ``seq`` is a strictly
@@ -20,18 +26,8 @@ bucket-internal order. This matters because simulation times are floats:
 timestamp (e.g. a MAC exchange end and the forwarding of the packet it
 released when ``forward_delay == 0``), and the simulator's determinism
 guarantee requires that such ties resolve identically on every engine,
-platform and run. Cancellation is lazy in both queues: cancelled
-entries stay in place and are skipped when they surface.
-
-Both queues also expose ``peek_time`` — the earliest *live* event's
-timestamp, skipping cancelled entries. The simulator surfaces it as
-:meth:`repro.net.sim.Simulator.peek_event_time`, where it serves as the
-batched forwarder's inlining horizon: a multi-hop journey may only be
-resolved inline strictly before the next pending event. Skipping
-cancelled entries keeps that horizon tight; reporting one would merely
-over-defer (still exact, just slower), so laziness is safe here —
-``peek_time`` must only never report a time *later* than the next live
-event.
+platform and run. ``seq`` is unique, so tuple comparison never reaches
+the callback.
 """
 
 from __future__ import annotations
@@ -41,120 +37,48 @@ import itertools
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["EventQueue", "CalendarQueue", "ScheduledEvent"]
+__all__ = ["EventQueue", "CalendarQueue"]
+
+#: One queue entry: ``(time, seq, callback, args)``.
+Entry = Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]
 
 
-class ScheduledEvent:
-    """Handle returned by ``push``; supports cancellation.
-
-    ``args`` are passed to ``callback`` when the event fires; scheduling
-    ``(fn, args)`` instead of a closure keeps the hot path of the array
-    kernel free of per-event lambda allocations.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_queue")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        queue: "_QueueBase",
-        args: Tuple[Any, ...] = (),
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._queue = queue
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when it surfaces."""
-        if not self.cancelled:
-            self.cancelled = True
-            self._queue._live -= 1
-
-    def fire(self) -> Any:
-        """Invoke the callback with its scheduled arguments."""
-        return self.callback(*self.args)
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"ScheduledEvent(t={self.time}, seq={self.seq}, {state})"
-
-
-class _QueueBase:
-    """Shared queue surface: live-event accounting and push validation."""
+class EventQueue:
+    """Min-heap of entries ordered by (time, insertion)."""
 
     def __init__(self) -> None:
         self._counter = itertools.count()
-        self._live = 0
-
-    def _make_event(
-        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> ScheduledEvent:
-        if not callable(callback):
-            raise TypeError("callback must be callable")
-        event = ScheduledEvent(float(time), next(self._counter), callback, self, args)
-        self._live += 1
-        return event
+        self._heap: List[Entry] = []
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return bool(self._heap)
 
+    def push(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``callback(*args)`` at ``time``."""
+        if not callable(callback):
+            raise TypeError("callback must be callable")
+        heapq.heappush(self._heap, (float(time), next(self._counter), callback, args))
 
-class EventQueue(_QueueBase):
-    """Min-heap of :class:`ScheduledEvent` ordered by (time, insertion)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[ScheduledEvent] = []
-
-    def push(
-        self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at ``time``; returns a cancellable handle."""
-        event = self._make_event(time, callback, args)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Optional[ScheduledEvent]:
-        """Remove and return the earliest live event, or None if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._live -= 1
-            return event
-        return None
+    def pop(self) -> Optional[Entry]:
+        """Remove and return the earliest entry, or None if empty."""
+        return heapq.heappop(self._heap) if self._heap else None
 
     def peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        """Timestamp of the earliest entry without removing it."""
+        return self._heap[0][0] if self._heap else None
 
 
-#: One wheel entry. The (time, seq) prefix carries the full ordering, so
-#: tuple comparison never reaches the handle object.
-_Entry = Tuple[float, int, ScheduledEvent]
-
-
-class CalendarQueue(_QueueBase):
+class CalendarQueue:
     """Bucketed event wheel with the same ordering contract as :class:`EventQueue`.
 
     Pending events live in fixed-width time buckets (``bucket_width``
     seconds each). The earliest bucket is drained as a small heap of
-    ``(time, seq, event)`` tuples; later buckets are unsorted lists that
-    are heapified only when the wheel reaches them. A side heap of
-    bucket indices finds the next non-empty bucket in O(log buckets).
+    entries; later buckets are unsorted lists that are heapified only
+    when the wheel reaches them. A side heap of bucket indices finds the
+    next non-empty bucket in O(log buckets).
 
     Pushes may arrive in any time order (the wheel is a general priority
     queue, not just a forward-only scheduler): an entry at or before the
@@ -166,25 +90,28 @@ class CalendarQueue(_QueueBase):
     """
 
     def __init__(self, bucket_width: float = 0.01) -> None:
-        super().__init__()
         if not bucket_width > 0.0 or not math.isfinite(bucket_width):
             raise ValueError("bucket_width must be a positive finite float")
+        self._counter = itertools.count()
         self._width = float(bucket_width)
-        self._current: List[_Entry] = []  # heap of the bucket being drained
+        self._current: List[Entry] = []  # heap of the bucket being drained
         self._current_idx: Optional[int] = None
-        self._future: Dict[int, List[_Entry]] = {}  # idx -> unsorted entries
+        self._future: Dict[int, List[Entry]] = {}  # idx -> non-empty unsorted entries
         self._bucket_heap: List[int] = []  # indices of buckets in _future
 
-    def _bucket_of(self, time: float) -> int:
-        return int(time // self._width)
+    def __len__(self) -> int:
+        return len(self._current) + sum(map(len, self._future.values()))
 
-    def push(
-        self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at ``time``; returns a cancellable handle."""
-        event = self._make_event(time, callback, args)
-        entry: _Entry = (event.time, event.seq, event)
-        idx = self._bucket_of(event.time)
+    def __bool__(self) -> bool:
+        return bool(self._current or self._future)
+
+    def push(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``callback(*args)`` at ``time``."""
+        if not callable(callback):
+            raise TypeError("callback must be callable")
+        time = float(time)
+        entry: Entry = (time, next(self._counter), callback, args)
+        idx = int(time // self._width)
         if self._current_idx is None or idx <= self._current_idx:
             # First event ever, or an event at/before the wheel position:
             # it belongs to the bucket being drained right now.
@@ -198,7 +125,6 @@ class CalendarQueue(_QueueBase):
                 heapq.heappush(self._bucket_heap, idx)
             else:
                 bucket.append(entry)
-        return event
 
     def _advance(self) -> None:
         """Promote the next non-empty future bucket into the current heap."""
@@ -210,27 +136,18 @@ class CalendarQueue(_QueueBase):
                 self._current = bucket
                 self._current_idx = idx
 
-    def pop(self) -> Optional[ScheduledEvent]:
-        """Remove and return the earliest live event, or None if empty."""
-        while True:
+    def pop(self) -> Optional[Entry]:
+        """Remove and return the earliest entry, or None if empty."""
+        if not self._current:
+            self._advance()
             if not self._current:
-                self._advance()
-                if not self._current:
-                    return None
-            _, _, event = heapq.heappop(self._current)
-            if event.cancelled:
-                continue
-            self._live -= 1
-            return event
+                return None
+        return heapq.heappop(self._current)
 
     def peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest live event without removing it."""
-        while True:
+        """Timestamp of the earliest entry without removing it."""
+        if not self._current:
+            self._advance()
             if not self._current:
-                self._advance()
-                if not self._current:
-                    return None
-            if self._current[0][2].cancelled:
-                heapq.heappop(self._current)
-                continue
-            return self._current[0][0]
+                return None
+        return self._current[0][0]

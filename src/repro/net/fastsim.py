@@ -268,9 +268,7 @@ class FastArqMac:
             self.channel.record_batch(
                 sender, receiver, attempts, 1 if first is not None else 0
             )
-            return MacResult(
-                attempts=attempts, first_received_attempt=first, end_time=time
-            )
+            return MacResult(attempts, first, time)
         while attempts < max_attempts:
             attempts += 1
             if pos >= len(vals):
@@ -297,7 +295,7 @@ class FastArqMac:
         self.channel.record_batch(
             sender, receiver, attempts, 1 if first is not None else 0
         )
-        return MacResult(attempts=attempts, first_received_attempt=first, end_time=time)
+        return MacResult(attempts, first, time)
 
 
 class VectorizedEtxSampler:

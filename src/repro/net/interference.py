@@ -126,11 +126,6 @@ class InterferedLink(LinkModel):
 
     _EPS = 1e-4
 
-    # The interferer field is shared by every link and advances lazily
-    # with the queried time: the batched forwarder must only query it at
-    # the simulation clock, never at inlined future hop times.
-    shared_state_loss = True
-
     def __init__(
         self,
         base_loss: float,

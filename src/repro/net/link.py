@@ -47,15 +47,6 @@ class LinkModel(ABC):
     #: array engine's vectorized paths cache per-link loss arrays.
     time_invariant_loss: bool = False
 
-    #: True when sampling this model reads state *shared across links*
-    #: that advances lazily with the queried time (the interferer field).
-    #: The batched forwarder must not query such models at virtual times
-    #: ahead of the simulation clock: doing so would reorder the shared
-    #: chain's advancement relative to other edges' queries and diverge
-    #: from the event oracle. Per-edge state (Gilbert–Elliott) is safe —
-    #: exchanges on one edge are serialized by the sender's radio.
-    shared_state_loss: bool = False
-
     #: True when ``sample`` consumes exactly *two* uniforms per call —
     #: a state-transition draw then a loss draw — and the transition is
     #: replayable via :meth:`chain_step`. Lets the array kernel buffer
@@ -455,7 +446,6 @@ class Channel:
         # depend on hash-set ordering.
         self._draws: Dict[Tuple[int, int], int] = dict.fromkeys(self._models, 0)
         self._successes: Dict[Tuple[int, int], int] = dict.fromkeys(self._models, 0)
-        self._shared_edges: Optional[frozenset] = None
 
     @classmethod
     def build(
@@ -565,27 +555,6 @@ class Channel:
 
     def directed_edges(self) -> Iterable[Tuple[int, int]]:
         return self._models.keys()
-
-    def shared_state_edges(self) -> "frozenset[Tuple[int, int]]":
-        """Directed edges whose model reads cross-link shared state.
-
-        Memoized: models are assigned at construction and never swapped.
-        The common case (no shared-state model *class* present at all)
-        short-circuits without touching every instance, which matters at
-        5k-node scale where the per-instance scan is ~500k attribute
-        reads on a path that almost always yields the empty set.
-        """
-        if self._shared_edges is None:
-            classes = {type(m) for m in self._models.values()}
-            if not any(c.shared_state_loss for c in classes):
-                self._shared_edges = frozenset()
-            else:
-                self._shared_edges = frozenset(
-                    edge
-                    for edge, model in self._models.items()
-                    if model.shared_state_loss
-                )
-        return self._shared_edges
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Channel(edges={len(self._models)})"

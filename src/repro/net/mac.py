@@ -16,7 +16,7 @@ comparisons).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.net.link import Channel
 
@@ -44,9 +44,12 @@ class MacConfig:
         return self.max_retries + 1
 
 
-@dataclass(frozen=True)
-class MacResult:
-    """Outcome of one hop-level ARQ exchange."""
+class MacResult(NamedTuple):
+    """Outcome of one hop-level ARQ exchange.
+
+    A named tuple rather than a dataclass: one is built per hop, and a
+    tuple is the cheapest record to construct.
+    """
 
     #: Total frames the sender transmitted.
     attempts: int
@@ -93,8 +96,4 @@ class ArqMac:
                 time += TX_TIME
                 break
             time += TX_TIME + RETRY_INTERVAL
-        return MacResult(
-            attempts=attempts,
-            first_received_attempt=first_received,
-            end_time=time,
-        )
+        return MacResult(attempts, first_received, time)

@@ -17,7 +17,13 @@ __all__ = ["HopRecord", "Packet"]
 
 @dataclass
 class HopRecord:
-    """Ground truth for one link traversal (visible to the simulator only)."""
+    """Ground truth for one link traversal (visible to the simulator only).
+
+    One is built per hop and shared by the packet's hop log and
+    :attr:`repro.net.trace.GroundTruth.hops`; slots keep it small.
+    """
+
+    __slots__ = ("sender", "receiver", "attempts", "time", "delivered")
 
     sender: int
     receiver: int

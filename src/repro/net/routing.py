@@ -102,7 +102,6 @@ class RoutingEngine:
             edge: i for i, edge in enumerate(self._edges)
         }
         self._etx: "np.ndarray" = np.ones(len(self._edges), dtype=np.float64)
-        self._etx_samples: "np.ndarray" = np.zeros(len(self._edges), dtype=np.int64)
         # Hoisted EWMA constants for the per-hop data-sample path.
         self._data_alpha = self.config.data_alpha
         self._data_decay = 1.0 - self.config.data_alpha
@@ -147,7 +146,6 @@ class RoutingEngine:
         p_data = 1.0 - losses
         success = np.maximum(1e-6, p_data * p_data[reverse])
         self._etx[:] = 1.0 / success
-        self._etx_samples[:] = 1
         self._recompute_tree(0.0)
 
     # -- link quality -----------------------------------------------------------
@@ -186,15 +184,9 @@ class RoutingEngine:
             # Whole-array EWMA: fl(fl(decay*e) + fl(alpha*s)) per element
             # is exactly the scalar update's arithmetic (no fused ops).
             samples = np.asarray(self._etx_sampler(time), dtype=np.float64)
-            self._etx = np.where(
-                self._etx_samples == 0,
-                samples,
-                decay * self._etx + alpha * samples,
-            )
-            self._etx_samples += 1
+            self._etx = decay * self._etx + alpha * samples
         else:
             etx = self._etx
-            counts = self._etx_samples
             for i, (u, v) in enumerate(self._edges):
                 sample = self._true_etx(u, v, time)
                 if sigma > 0:
@@ -203,11 +195,7 @@ class RoutingEngine:
                     # form, and unlike it also has a block-draw shape the
                     # vectorized sampler can match exactly.
                     sample *= float(self._rng.lognormal(0.0, sigma))
-                if counts[i] == 0:
-                    etx[i] = sample
-                else:
-                    etx[i] = decay * float(etx[i]) + alpha * sample
-                counts[i] += 1
+                etx[i] = decay * float(etx[i]) + alpha * sample
         self._beacon_rounds += 1
         self._recompute_tree(time)
 
@@ -215,11 +203,7 @@ class RoutingEngine:
         """Feed an observed ARQ attempt count back into the (u, v) estimate."""
         etx = self._etx
         i = self._edge_index[(u, v)]
-        if self._etx_samples[i] == 0:
-            etx[i] = float(attempts)
-        else:
-            etx[i] = self._data_decay * float(etx[i]) + self._data_alpha * attempts
-        self._etx_samples[i] += 1
+        etx[i] = self._data_decay * float(etx[i]) + self._data_alpha * attempts
 
     # -- node liveness -------------------------------------------------------------
 

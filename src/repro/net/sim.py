@@ -10,32 +10,13 @@ The queue is pluggable: the default is the reference
 :class:`~repro.net.events.CalendarQueue` wheel. Both obey the same
 ``(time, insertion)`` ordering contract, so the choice never changes
 which event fires next — only how much the queue costs.
-
-Two small facilities exist for the array engine's batched forwarding
-path (``CollectionSimulation._forward_batched``, taken whenever
-``forward_delay > 0``):
-
-* **The next-event horizon** (:meth:`peek_event_time`): the earliest
-  still-pending event's timestamp. A packet's multi-hop journey may be
-  resolved inline only up to (strictly before) this horizon: no protocol
-  state whatsoever — routing, liveness, radio occupancy, queues, shared
-  channel state — can change before the next event fires, so every
-  inline leg reads exactly the state the oracle would have read at its
-  virtual time. Any pending event is a horizon, not just control-plane
-  ones: an innocuous-looking traffic creation can cascade into a radio
-  occupancy on the journey's path before the journey's own arrival.
-* **Virtual event credits** (:meth:`credit_events`): when the batched
-  forwarder elides an oracle event (a MAC finish, an inlined forward) or
-  introduces one the oracle lacks (a lazy queue-service event), it
-  credits/debits the counter so :attr:`events_processed` stays equal to
-  the event oracle's count — the differential suite compares it exactly.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Union
 
-from repro.net.events import CalendarQueue, EventQueue, ScheduledEvent
+from repro.net.events import CalendarQueue, EventQueue
 from repro.sanitize import hooks as _sanitize_hooks
 
 __all__ = ["Simulator"]
@@ -51,7 +32,6 @@ class Simulator:
         self._queue: QueueLike = queue if queue is not None else EventQueue()
         self._now = 0.0
         self._events_processed = 0
-        self._event_credits = 0
         self._running = False
         # Cached at construction so the hot loop pays one None test per
         # pop only while a sanitizer is tracing this run.
@@ -64,26 +44,8 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Events processed, plus any virtual credits (see module docs)."""
-        return self._events_processed + self._event_credits
-
-    def credit_events(self, count: int) -> None:
-        """Adjust the virtual event counter by ``count`` (may be negative).
-
-        Used by the batched forwarding path to keep ``events_processed``
-        bit-equal to the event oracle's count when oracle events are
-        resolved inline (elided) or extra bookkeeping events are added.
-        """
-        self._event_credits += count
-
-    def peek_event_time(self) -> Optional[float]:
-        """Earliest still-pending event's timestamp, or None if drained.
-
-        This is the batched forwarder's inlining horizon: state observed
-        strictly before this time cannot change, because nothing fires
-        before it (see the module docs).
-        """
-        return self._queue.peek_time()
+        """Events popped and fired so far."""
+        return self._events_processed
 
     @property
     def pending_events(self) -> int:
@@ -91,23 +53,19 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------------
 
-    def at(
-        self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> ScheduledEvent:
+    def at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute ``time`` (>= now)."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past: t={time} < now={self._now}"
             )
-        return self._queue.push(time, callback, *args)
+        self._queue.push(time, callback, *args)
 
-    def after(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> ScheduledEvent:
+    def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        return self._queue.push(self._now + delay, callback, *args)
+        self._queue.push(self._now + delay, callback, *args)
 
     def every(
         self,
@@ -116,13 +74,11 @@ class Simulator:
         *,
         start: Optional[float] = None,
         jitter: Callable[[], float] = lambda: 0.0,
-    ) -> ScheduledEvent:
+    ) -> None:
         """Schedule ``callback`` periodically (self-rescheduling chain).
 
-        ``jitter()`` is sampled for each firing and added to the period;
-        returning the chain's *first* handle — cancelling it before it fires
-        stops the chain, cancelling later requires the callback itself to
-        stop rescheduling (use a flag).
+        ``jitter()`` is sampled for each firing and added to the period.
+        The chain runs until the simulation stops popping events.
         """
         if period <= 0:
             raise ValueError("period must be > 0")
@@ -132,20 +88,21 @@ class Simulator:
             self.after(max(1e-9, period + jitter()), fire)
 
         first = self._now + (start if start is not None else period)
-        return self.at(max(self._now, first), fire)
+        self.at(max(self._now, first), fire)
 
     # -- execution -------------------------------------------------------------
 
     def step(self) -> bool:
         """Process the single earliest event; return False if none remain."""
-        event = self._queue.pop()
-        if event is None:
+        entry = self._queue.pop()
+        if entry is None:
             return False
+        time, seq, callback, args = entry
         if self._san is not None:
-            self._san.record_pop(event.time, event.seq)
-        self._now = event.time
+            self._san.record_pop(time, seq)
+        self._now = time
         self._events_processed += 1
-        event.fire()
+        callback(*args)
         return True
 
     def run_until(self, end_time: float) -> None:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 from repro.net.failures import FailurePlan
 from repro.net.fastsim import FastArqMac, VectorizedEtxSampler, array_simulator
 from repro.net.link import Channel, LinkAssigner, uniform_loss_assigner
-from repro.net.mac import RETRY_INTERVAL, TX_TIME, ArqMac, MacConfig, MacResult
+from repro.net.mac import RETRY_INTERVAL, TX_TIME, ArqMac, MacConfig
 from repro.net.packet import Packet
 from repro.net.routing import RoutingConfig, RoutingEngine
 from repro.net.sim import Simulator
@@ -122,8 +122,9 @@ class SimulationConfig:
     #: "array" the vectorized kernel (:mod:`repro.net.fastsim`). The two
     #: produce bit-identical observable streams for identical seeds; the
     #: event engine is the differential oracle pinning the array one. With
-    #: ``forward_delay == 0`` the array engine forwards per hop, because
-    #: batching cannot reproduce the equal-time ties a zero delay creates.
+    #: ``forward_delay == 0`` the array engine keeps finish events, because
+    #: its lazy busy horizon cannot reproduce the equal-time ties a zero
+    #: delay creates.
     engine: str = "event"
     mac: MacConfig = field(default_factory=MacConfig)
     routing: RoutingConfig = field(default_factory=RoutingConfig)
@@ -216,15 +217,14 @@ class CollectionSimulation:
         self._busy: Dict[int, bool] = {n: False for n in topology.nodes}
         self._queues: Dict[int, deque] = {n: deque() for n in topology.nodes}
         self._started = False
-        # Batched-forwarding state (array engine, see _run_chain): lazy
-        # busy horizons replace the _busy flag + finish events (a node is
-        # busy iff now < _busy_until[node]), queue servicing becomes an
-        # explicitly scheduled event, and inline legs must never resolve
-        # links that read lazily-advancing shared state at future times.
+        # Batched-forwarding state (array engine, see _forward_batched): a
+        # node is busy iff now < _busy_until[node], queue servicing is an
+        # explicitly scheduled event, and the event-count credits keep
+        # events_processed equal to the event engine's.
         self._busy_until: Dict[int, float] = {n: 0.0 for n in topology.nodes}
         self._service_pending: Dict[int, bool] = {n: False for n in topology.nodes}
         self._run_horizon = self.config.duration + 10.0
-        self._shared_edges = channel.shared_state_edges()
+        self._event_credits = 0
 
     def is_alive(self, node: int) -> bool:
         return self._alive[node]
@@ -330,95 +330,100 @@ class CollectionSimulation:
             else:
                 queue.append(packet)
             return
+        # An idle radio has an empty queue (servicing drains it until an
+        # exchange starts), so a drop here leaves nothing to service.
         self._start_exchange(packet, node)
 
-    def _start_exchange(self, packet: Packet, node: int) -> None:
+    def _start_exchange(self, packet: Packet, node: int) -> bool:
+        """Run ``node``'s ARQ exchange for ``packet`` now.
+
+        Returns False when the packet is dropped without an exchange,
+        which leaves the radio idle, and True when an exchange occupied it.
+        """
         if not self._alive[node]:
             # The holding node died before it could forward.
             self._drop(packet, "node_failed")
-            self._service_queue(node)
-            return
+            return False
         if len(packet.hops) >= self.config.max_hops:
             self._drop(packet, "ttl")
-            self._service_queue(node)
-            return
+            return False
         parent = self.routing.parent(node)
         if parent is None:
             self._drop(packet, "no_route")
-            self._service_queue(node)
-            return
-        if not self._alive[parent]:
+            return False
+        now = self.sim.now
+        if self._alive[parent]:
+            attempts, first, end = self.mac.send(node, parent, now)
+        else:
             # Receiver's radio is off: every attempt times out, no frames
             # actually traverse the channel (so link statistics stay clean).
-            max_attempts = self.config.mac.max_attempts
-            end = self.sim.now + max_attempts * (TX_TIME + RETRY_INTERVAL)
-            result = MacResult(
-                attempts=max_attempts, first_received_attempt=None, end_time=end
-            )
+            attempts = self.config.mac.max_attempts
+            first = None
+            end = now + attempts * (TX_TIME + RETRY_INTERVAL)
+        if self._batch:
+            self._busy_until[node] = end
+            # The event engine pops one finish event per exchange within
+            # the run horizon; queue servicing, its only effect, is
+            # recreated lazily by _ensure_service.
+            if end <= self._run_horizon:
+                self._event_credits += 1
+            forward = self._forward_batched
         else:
-            result = self.mac.send(node, parent, self.sim.now)
-        self._busy[node] = True
-        self.sim.at(result.end_time, self._finish_exchange, node)
-        self.routing.on_data_sample(node, parent, result.attempts, self.sim.now)
-        self.ground_truth.record_hop(node, parent, result)
-        packet.record_hop(node, parent, result.attempts, result.end_time, result.received)
-        if result.received:
-            first = result.first_received_attempt
-            assert first is not None
-            for obs in self.observers:
-                obs.on_hop_delivered(packet, node, parent, first, result.end_time)
-            delay = (result.end_time - self.sim.now) + self.config.forward_delay
-            self.sim.after(delay, self._forward, packet, parent)
-        else:
+            self._busy[node] = True
+            self.sim.at(end, self._finish_exchange, node)
+            forward = self._forward
+        self.routing.on_data_sample(node, parent, attempts, now)
+        self.ground_truth.hops.append(
+            packet.record_hop(node, parent, attempts, end, first is not None)
+        )
+        if first is None:
             self._drop(packet, "retries")
+            return True
+        for obs in self.observers:
+            obs.on_hop_delivered(packet, node, parent, first, end)
+        # Arrival is now + ((end - now) + delay), not end + delay: the
+        # recorded streams and goldens pin this rounding.
+        self.sim.after((end - now) + self.config.forward_delay, forward, packet, parent)
+        return True
 
     def _finish_exchange(self, node: int) -> None:
         self._busy[node] = False
         self._service_queue(node)
 
     def _service_queue(self, node: int) -> None:
-        if self._busy[node]:
-            return
+        """Start the next queued exchange, dropping packets that cannot start one."""
         queue = self._queues[node]
-        if queue:
-            self._start_exchange(queue.popleft(), node)
+        while queue:
+            if self._start_exchange(queue.popleft(), node):
+                return
 
     # -- batched forwarding (array engine) -----------------------------------------
     #
-    # Batched forwarding replaces the per-hop event cascade with inline
-    # multi-hop journey resolution at wake-up: one real event runs as many
-    # consecutive exchanges as are provably identical to the oracle's —
-    # every protocol decision (TTL, routes, liveness, drops, observer
-    # callbacks) replayed with the virtual leg time where the oracle would
-    # have used ``sim.now``. A leg is deferred back to a real event when
-    # the oracle's interleaving could matter: delivery (sink-side fault
-    # draws and annotation decoding are order-sensitive across packets),
-    # ANY pending event at or before the arrival (the strict horizon:
-    # even a traffic creation can cascade into a radio occupancy on this
-    # journey's path before the arrival, so no event class is safe to
-    # inline past), a contended next hop (busy radio, queued packets,
-    # pending service — queue mutations happen only at real events so
-    # FIFO order and tail drops are exact), an arrival past the run
-    # horizon (the oracle never pops it), or a next link reading
-    # lazily-advancing shared state (interference fields must be queried
-    # in global time order). Elided finish events and inlined forward
-    # events are credited/debited via ``Simulator.credit_events`` so
-    # ``events_processed`` stays bit-equal to the oracle's count.
+    # With ``forward_delay > 0`` the array engine keeps a lazy busy horizon
+    # in place of finish events. Each real forwarding event still resolves
+    # one leg, as the event engine does, but starting an exchange only
+    # records when it ends (``_busy_until``). The event engine's finish
+    # event exists only to service the node's queue, so it is elided and
+    # its pop credited; the first packet that queues behind a busy radio
+    # buys one service event back at the horizon (``_ensure_service``),
+    # debited because the event engine pops the finish event instead.
+    # ``events_processed`` thus equals the event engine's count.
     #
     # Equal-time ties between unrelated events are resolved by scheduling
-    # sequence, which batching does not replay; such ties require exact
-    # float equality of independently accumulated sums and ``forward_delay
-    # > 0`` keeps hop arrivals off exchange finish times, so they are
-    # measure-zero (asserted by the differential suite, not by construction).
+    # sequence, and a service event is scheduled later than the finish
+    # event it stands for; such ties require exact float equality of
+    # independently accumulated sums, and ``forward_delay > 0`` keeps hop
+    # arrivals off exchange finish times, so they are measure-zero
+    # (asserted by the differential suite, not by construction). With a
+    # zero delay every arrival ties with its exchange's finish, so the
+    # array engine forwards per hop with finish events (``_forward``).
 
     def _forward_batched(self, packet: Packet, node: int) -> None:
-        """Real-event entry point of the batched path (wake-up)."""
         if node == self.topology.sink:
             self._deliver(packet)
             return
-        now = self.sim.now
         if (
-            now < self._busy_until[node]
+            self.sim.now < self._busy_until[node]
             or self._queues[node]
             or self._service_pending[node]
         ):
@@ -429,16 +434,14 @@ class CollectionSimulation:
                 queue.append(packet)
                 self._ensure_service(node)
             return
-        self._run_chain(packet, node, now)
+        self._start_exchange(packet, node)
 
     def _ensure_service(self, node: int) -> None:
         """Schedule queue servicing at the node's busy horizon (once).
 
-        The oracle services queues from each exchange's finish event;
-        batching elides those (crediting them), so the first queued
-        arrival buys the service event back — the -1 cancels the elided
-        finish's +1, keeping the count exact. Both adjustments are gated
-        on the run horizon, past which neither event would ever pop.
+        The -1 cancels the elided finish event's +1, keeping the count
+        exact. It is gated on the run horizon, past which neither event
+        would ever pop.
         """
         if self._service_pending[node]:
             return
@@ -446,106 +449,15 @@ class CollectionSimulation:
         until = self._busy_until[node]
         self.sim.at(until, self._service_batched, node)
         if until <= self._run_horizon:
-            self.sim.credit_events(-1)
+            self._event_credits -= 1
 
     def _service_batched(self, node: int) -> None:
-        """Drain the node's queue exactly as the oracle's finish event does:
-        drop-without-exchange packets recurse immediately, the first packet
-        that starts an exchange rebinds servicing to the new busy horizon."""
+        """Drain the node's queue exactly as the event engine's finish event
+        does; an exchange that starts rebinds servicing to its horizon."""
         self._service_pending[node] = False
-        queue = self._queues[node]
-        while queue:
-            packet = queue.popleft()
-            if self._run_chain(packet, node, self.sim.now):
-                if queue:
-                    self._ensure_service(node)
-                return
-
-    def _run_chain(self, packet: Packet, node: int, start: float) -> bool:
-        """Resolve the packet's journey inline from ``node`` at ``start``.
-
-        Returns True when the first leg started an ARQ exchange at
-        ``node`` (i.e. occupied its radio), which is what queue servicing
-        needs to know. ``start`` equals ``sim.now`` for the first leg;
-        continuation legs run at virtual arrival times strictly before
-        the next pending event, where the whole protocol state is
-        provably frozen.
-        """
-        cfg = self.config
-        max_attempts = cfg.mac.max_attempts
-        sink = self.topology.sink
-        cur, t = node, start
-        started_first = False
-        first_leg = True
-        while True:
-            if not self._alive[cur]:
-                # The holding node died before it could forward (only
-                # reachable on the first leg: liveness cannot change
-                # before an inlined continuation's arrival).
-                self._drop(packet, "node_failed", time=t)
-                break
-            if len(packet.hops) >= cfg.max_hops:
-                self._drop(packet, "ttl", time=t)
-                break
-            parent = self.routing.parent(cur)
-            if parent is None:
-                self._drop(packet, "no_route", time=t)
-                break
-            if not self._alive[parent]:
-                # Receiver's radio is off: every attempt times out, no
-                # frames traverse the channel (same float expression as
-                # the oracle's).
-                end = t + max_attempts * (TX_TIME + RETRY_INTERVAL)
-                result = MacResult(
-                    attempts=max_attempts, first_received_attempt=None, end_time=end
-                )
-            else:
-                result = self.mac.send(cur, parent, t)
-            self._busy_until[cur] = result.end_time
-            if first_leg:
-                started_first = True
-            # Credit the elided finish event (the oracle pops one per
-            # started exchange within the horizon; queue servicing, its
-            # only effect, is recreated lazily by _ensure_service).
-            if result.end_time <= self._run_horizon:
-                self.sim.credit_events(1)
-            self.routing.on_data_sample(cur, parent, result.attempts, t)
-            self.ground_truth.record_hop(cur, parent, result)
-            packet.record_hop(
-                cur, parent, result.attempts, result.end_time, result.received
-            )
-            if not result.received:
-                self._drop(packet, "retries", time=t)
-                break
-            first = result.first_received_attempt
-            assert first is not None
-            for obs in self.observers:
-                obs.on_hop_delivered(packet, cur, parent, first, result.end_time)
-            # The oracle's exact arrival expression, with the leg's
-            # virtual start time where it uses sim.now.
-            delay = (result.end_time - t) + cfg.forward_delay
-            arrival = t + delay
-            horizon = self.sim.peek_event_time()
-            grandparent = self.routing.parent(parent)
-            if (
-                parent == sink
-                or arrival > self._run_horizon
-                or (horizon is not None and arrival >= horizon)
-                or arrival < self._busy_until[parent]
-                or self._queues[parent]
-                or self._service_pending[parent]
-                or (
-                    grandparent is not None
-                    and (parent, grandparent) in self._shared_edges
-                )
-            ):
-                self.sim.at(arrival, self._forward_batched, packet, parent)
-                break
-            # Inline continuation: credit the elided forward event.
-            self.sim.credit_events(1)
-            cur, t = parent, arrival
-            first_leg = False
-        return started_first
+        self._service_queue(node)
+        if self._queues[node]:
+            self._ensure_service(node)
 
     def _deliver(self, packet: Packet) -> None:
         packet.delivered_at = self.sim.now
@@ -553,17 +465,12 @@ class CollectionSimulation:
         for obs in self.observers:
             obs.on_packet_delivered(packet, self.sim.now)
 
-    def _drop(
-        self, packet: Packet, reason: str, *, time: Optional[float] = None
-    ) -> None:
-        # ``time`` is the virtual leg time of an inlined drop (the oracle
-        # drops at its forward event's timestamp); defaults to the clock.
-        at = self.sim.now if time is None else time
-        packet.dropped_at = at
+    def _drop(self, packet: Packet, reason: str) -> None:
+        packet.dropped_at = self.sim.now
         packet.drop_reason = reason
         self.ground_truth.record_dropped(packet)
         for obs in self.observers:
-            obs.on_packet_dropped(packet, at)
+            obs.on_packet_dropped(packet, self.sim.now)
 
     # -- execution ------------------------------------------------------------------
 
@@ -586,7 +493,7 @@ class CollectionSimulation:
             obs.attach(self)
         self._schedule_traffic()
         # Drain in-flight packets a short grace period past the duration.
-        self.sim.run_until(self.config.duration + 10.0)
+        self.sim.run_until(self._run_horizon)
         return SimulationResult(
             topology=self.topology,
             channel=self.channel,
@@ -595,5 +502,5 @@ class CollectionSimulation:
             packets=self.packets,
             config=self.config,
             duration=self.config.duration,
-            events_processed=self.sim.events_processed,
+            events_processed=self.sim.events_processed + self._event_credits,
         )

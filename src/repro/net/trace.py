@@ -1,11 +1,15 @@
 """Ground-truth trace collection.
 
-The simulator records, per directed link, every hop-level ARQ exchange:
-how many frames were sent, which attempt first got through, and whether
-the hop succeeded. Estimators are scored against either the configured
-(model) loss ratios or the *empirical* realized frame-loss fractions —
-the latter is the fair finite-sample reference, since even a perfect
-estimator can only know what the channel actually did.
+The simulator appends every hop-level ARQ exchange's
+:class:`~repro.net.packet.HopRecord` to :attr:`GroundTruth.hops`, in
+exchange order: how many frames were sent, and whether the hop
+succeeded (with perfect ACKs a delivered hop's attempt count is the
+attempt that first got through). Per-link tallies
+(:attr:`GroundTruth.link_usage`) are folded from that list when read.
+Estimators are scored against either the configured (model) loss ratios
+or the *empirical* realized frame-loss fractions — the latter is the
+fair finite-sample reference, since even a perfect estimator can only
+know what the channel actually did.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.link import Channel
-from repro.net.mac import MacResult
-from repro.net.packet import Packet
+from repro.net.packet import HopRecord, Packet
 
 __all__ = ["GroundTruth", "LinkUsage"]
 
@@ -55,13 +58,16 @@ class GroundTruth:
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self.link_usage: Dict[Tuple[int, int], LinkUsage] = defaultdict(LinkUsage)
+        #: Every hop-level ARQ exchange of the run, in exchange order.
+        self.hops: List[HopRecord] = []
         self.packets_generated = 0
         self.packets_delivered = 0
         self.packets_dropped = 0
         self.drop_reasons: Dict[str, int] = defaultdict(int)
         self._t_start: Optional[float] = None
         self._t_end: Optional[float] = None
+        self._usage: Dict[Tuple[int, int], LinkUsage] = defaultdict(LinkUsage)
+        self._folded = 0
 
     # -- recording ---------------------------------------------------------------
 
@@ -70,15 +76,36 @@ class GroundTruth:
         if self._t_start is None or packet.created_at < self._t_start:
             self._t_start = packet.created_at
 
-    def record_hop(self, sender: int, receiver: int, result: MacResult) -> None:
-        usage = self.link_usage[(sender, receiver)]
-        usage.exchanges += 1
-        usage.frames_sent += result.attempts
-        usage.attempt_samples.append(result.first_received_attempt)
-        if result.received:
-            usage.received += 1
-            usage.retransmissions_observed += result.first_received_attempt - 1
-        self._t_end = max(self._t_end or 0.0, result.end_time)
+    @property
+    def link_usage(self) -> Dict[Tuple[int, int], LinkUsage]:
+        """Per-link tallies, keyed in order of each link's first exchange.
+
+        Hops appended since the last read are folded in, in exchange
+        order, so a read part-way through a run and another at its end
+        give what one fold of the whole list gives.
+        """
+        self._fold()
+        return self._usage
+
+    def _fold(self) -> None:
+        hops = self.hops
+        if self._folded == len(hops):
+            return
+        usage_map = self._usage
+        t_end = self._t_end or 0.0
+        for hop in hops[self._folded:]:
+            usage = usage_map[(hop.sender, hop.receiver)]
+            usage.exchanges += 1
+            usage.frames_sent += hop.attempts
+            if hop.delivered:
+                usage.attempt_samples.append(hop.attempts)
+                usage.received += 1
+                usage.retransmissions_observed += hop.attempts - 1
+            else:
+                usage.attempt_samples.append(None)
+            t_end = max(t_end, hop.time)
+        self._t_end = t_end
+        self._folded = len(hops)
 
     def record_delivered(self, packet: Packet) -> None:
         self.packets_delivered += 1
@@ -91,7 +118,7 @@ class GroundTruth:
 
     def used_links(self) -> List[Tuple[int, int]]:
         """Directed links that carried at least one data exchange."""
-        return sorted(k for k, u in self.link_usage.items() if u.exchanges > 0)
+        return sorted({(hop.sender, hop.receiver) for hop in self.hops})
 
     def true_loss(self, link: Tuple[int, int], *, kind: str = "empirical") -> Optional[float]:
         """Ground-truth loss ratio for a directed link.
@@ -104,6 +131,7 @@ class GroundTruth:
         if kind == "empirical":
             return self.channel.empirical_loss(u, v)
         if kind == "model":
+            self._fold()
             t0 = self._t_start if self._t_start is not None else 0.0
             t1 = self._t_end if self._t_end is not None else t0
             return self.channel.mean_loss(u, v, t0, t1)
@@ -128,10 +156,11 @@ class GroundTruth:
 
     @property
     def observation_window(self) -> Tuple[float, float]:
+        self._fold()
         return (self._t_start or 0.0, self._t_end or 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"GroundTruth(generated={self.packets_generated},"
-            f" delivered={self.packets_delivered}, links={len(self.link_usage)})"
+            f" delivered={self.packets_delivered}, hops={len(self.hops)})"
         )

@@ -159,6 +159,15 @@ class EndToEndObserver(NullObserver):
         """(origin, assumed links, delivered) per packet."""
         return self._packet_obs
 
+    def packets_resolved(self, origin: int) -> int:
+        """How many of ``origin``'s packets were delivered or dropped.
+
+        Equals the number of :attr:`packet_observations` from ``origin``:
+        each observation is appended as exactly one of the two is counted.
+        """
+        stats = self._stats.get(origin)
+        return 0 if stats is None else stats.resolved
+
     def delivery_ratios(self) -> Dict[int, float]:
         """Per-origin end-to-end delivery ratio over the whole run."""
         out = {}

@@ -61,8 +61,7 @@ class TreeRatioTomography(EndToEndObserver):
             losses[first_link] = hop_success_to_frame_loss(
                 hop_success, self.max_attempts
             )
-            n = sum(1 for o, _, _ in self.packet_observations if o == origin)
-            support[first_link] = n
+            support[first_link] = self.packets_resolved(origin)
         return TomographyResult(
             losses=losses, support=support, converged=converged, method=self.method_name
         )

@@ -3,8 +3,7 @@
 The array engine's bit-identity guarantee rests on the two queues being
 observationally interchangeable (events.py documents the contract):
 pops happen in ``(time, seq)`` order, equal float timestamps resolve in
-schedule order, cancellation is lazy, and the simulator behaves the same
-on either. The hypothesis suites drive both implementations with the
+schedule order, and the simulator behaves the same on either. The hypothesis suites drive both implementations with the
 same random schedules — including adversarial ties and interleaved
 push/pop around bucket boundaries — and require identical pop streams.
 """
@@ -28,9 +27,14 @@ _WIDTHS = st.sampled_from([0.001, 0.01, 0.1, 1.0, 3.7])
 
 def _drain(queue):
     order = []
-    while (event := queue.pop()) is not None:
-        order.append((event.time, event.seq))
+    while (entry := queue.pop()) is not None:
+        order.append(entry[:2])
     return order
+
+
+def _fire(entry):
+    _, _, callback, args = entry
+    callback(*args)
 
 
 @settings(max_examples=100, deadline=None)
@@ -45,26 +49,6 @@ def test_property_pop_order_matches_heap(times, width):
     # The shared contract, independently: sorted by (time, seq) — equal
     # timestamps strictly in schedule order.
     assert heap_order == sorted(heap_order)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    times=st.lists(_TIMES, min_size=1, max_size=60),
-    cancel=st.data(),
-    width=_WIDTHS,
-)
-def test_property_cancellation_matches_heap(times, cancel, width):
-    heap, wheel = EventQueue(), CalendarQueue(bucket_width=width)
-    heap_handles = [heap.push(t, lambda: None) for t in times]
-    wheel_handles = [wheel.push(t, lambda: None) for t in times]
-    doomed = cancel.draw(
-        st.sets(st.integers(min_value=0, max_value=len(times) - 1))
-    )
-    for i in doomed:
-        heap_handles[i].cancel()
-        wheel_handles[i].cancel()
-    assert len(heap) == len(wheel) == len(times) - len(doomed)
-    assert _drain(wheel) == _drain(heap)
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,8 +71,8 @@ def test_property_interleaved_push_pop_matches_heap(ops, width):
             wheel.push(t, lambda: None)
         elif op == "pop":
             a, b = heap.pop(), wheel.pop()
-            popped_heap.append(None if a is None else (a.time, a.seq))
-            popped_wheel.append(None if b is None else (b.time, b.seq))
+            popped_heap.append(None if a is None else a[:2])
+            popped_wheel.append(None if b is None else b[:2])
         else:
             assert heap.peek_time() == wheel.peek_time()
     assert popped_wheel == popped_heap
@@ -139,8 +123,8 @@ class TestTieBreakContract:
         queue.push(0.1 + 0.2, lambda: order.append("computed-a"))
         queue.push(0.3, lambda: order.append("literal"))
         queue.push(0.1 + 0.2, lambda: order.append("computed-b"))
-        while (event := queue.pop()) is not None:
-            event.fire()
+        while (entry := queue.pop()) is not None:
+            _fire(entry)
         assert order == ["literal", "computed-a", "computed-b"]
 
     @pytest.mark.parametrize("queue_cls", [EventQueue, CalendarQueue])
@@ -163,8 +147,8 @@ class TestTieBreakContract:
         for i in range(8):
             wheel.push(1.25, lambda i=i: order.append(i))
         wheel.push(0.1, lambda: order.append("early"))
-        while (event := wheel.pop()) is not None:
-            event.fire()
+        while (entry := wheel.pop()) is not None:
+            _fire(entry)
         assert order == ["early", 0, 1, 2, 3, 4, 5, 6, 7]
 
 
@@ -177,26 +161,19 @@ class TestCalendarQueueBasics:
     def test_len_and_bool_track_live_events(self):
         wheel = CalendarQueue()
         assert not wheel
-        handle = wheel.push(1.0, lambda: None)
+        wheel.push(1.0, lambda: None)
         wheel.push(2.0, lambda: None)
         assert len(wheel) == 2
-        handle.cancel()
+        assert wheel.pop()[0] == 1.0
         assert len(wheel) == 1
-        assert wheel.pop().time == 2.0
+        assert wheel.pop()[0] == 2.0
         assert not wheel
-
-    def test_peek_time_skips_cancelled(self):
-        wheel = CalendarQueue()
-        first = wheel.push(1.0, lambda: None)
-        wheel.push(5.0, lambda: None)
-        first.cancel()
-        assert wheel.peek_time() == 5.0
 
     def test_push_args_reach_callback(self):
         wheel = CalendarQueue()
         seen = []
         wheel.push(1.0, seen.append, "payload")
-        wheel.pop().fire()
+        _fire(wheel.pop())
         assert seen == ["payload"]
 
     def test_push_into_drained_past_bucket(self):
@@ -204,8 +181,8 @@ class TestCalendarQueueBasics:
         pop before everything later (general priority-queue semantics)."""
         wheel = CalendarQueue(bucket_width=1.0)
         wheel.push(5.5, lambda: None)
-        assert wheel.pop().time == 5.5
+        assert wheel.pop()[0] == 5.5
         wheel.push(9.0, lambda: None)
         wheel.push(0.25, lambda: None)
-        assert wheel.pop().time == 0.25
-        assert wheel.pop().time == 9.0
+        assert wheel.pop()[0] == 0.25
+        assert wheel.pop()[0] == 9.0

@@ -13,8 +13,9 @@ class TestEventQueue:
         q.push(3.0, lambda: order.append("c"))
         q.push(1.0, lambda: order.append("a"))
         q.push(2.0, lambda: order.append("b"))
-        while (e := q.pop()) is not None:
-            e.callback()
+        while (entry := q.pop()) is not None:
+            _, _, callback, args = entry
+            callback(*args)
         assert order == ["a", "b", "c"]
 
     def test_ties_fire_in_insertion_order(self):
@@ -22,34 +23,10 @@ class TestEventQueue:
         order = []
         for i in range(5):
             q.push(1.0, lambda i=i: order.append(i))
-        while (e := q.pop()) is not None:
-            e.callback()
+        while (entry := q.pop()) is not None:
+            _, _, callback, args = entry
+            callback(*args)
         assert order == [0, 1, 2, 3, 4]
-
-    def test_cancellation_skips_event(self):
-        q = EventQueue()
-        fired = []
-        handle = q.push(1.0, lambda: fired.append("x"))
-        q.push(2.0, lambda: fired.append("y"))
-        handle.cancel()
-        assert len(q) == 1
-        while (e := q.pop()) is not None:
-            e.callback()
-        assert fired == ["y"]
-
-    def test_double_cancel_counts_once(self):
-        q = EventQueue()
-        handle = q.push(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert len(q) == 0
-
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        q.push(5.0, lambda: None)
-        first.cancel()
-        assert q.peek_time() == 5.0
 
     def test_empty_queue(self):
         q = EventQueue()

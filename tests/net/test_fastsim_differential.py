@@ -52,8 +52,8 @@ MATRIX = [
     ("rgg_node_failures", failing_rgg_scenario, {"num_nodes": 14}, {}),
     ("rgg_interference", interference_rgg_scenario, {"num_nodes": 14}, {}),
     # Mid-journey rerouting: beacons every 0.4 s with near-zero
-    # hysteresis, so parents flip while packets are in flight and the
-    # batched forwarder must fall back at every recompute horizon.
+    # hysteresis, so parents flip while packets are in flight and each
+    # leg must read the tree as it stands at its own forwarding event.
     (
         "rgg_rerouting_mid_journey",
         dynamic_rgg_scenario,
@@ -74,8 +74,8 @@ MATRIX = [
         {"traffic_period": 0.5},
     ),
     # Zero forward delay: hop arrivals tie with exchange finish times,
-    # so the array engine forwards per hop instead of batching; this row
-    # pins that path.
+    # so the array engine keeps finish events instead of its lazy busy
+    # horizon; this row pins that path.
     (
         "rgg_zero_forward_delay",
         dynamic_rgg_scenario,
@@ -240,7 +240,7 @@ def test_batched_pop_profile_fingerprints(seed):
     fp_per_hop = san_per_hop.fingerprint()
     assert fp_batched.pop_profile == "batched-forwarding"
     assert fp_per_hop.pop_profile == "event"
-    # Batching genuinely changes the pop sequence (fewer real events)...
+    # Batching genuinely changes the pop sequence (finish events elided)...
     assert fp_batched.pops != fp_per_hop.pops
     # ...yet the observable stream contract still holds across profiles.
     divergences = diff_fingerprints(fp_per_hop, fp_batched, mode="stream")

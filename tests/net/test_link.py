@@ -281,22 +281,6 @@ class TestBatchedBuildBitIdentity:
             assert rng1.random() == rng2.random()
 
 
-class TestSharedStateEdges:
-    def test_plain_channel_has_none(self):
-        topo = line_topology(4)
-        ch = Channel.build(topo, uniform_loss_assigner(0.1, 0.2), RngRegistry(1))
-        assert ch.shared_state_edges() == frozenset()
-        assert ch.shared_state_edges() is ch.shared_state_edges()  # memoized
-
-    def test_interference_channel_reports_all_edges(self):
-        from repro.net.interference import InterfererField, interference_assigner
-
-        topo = line_topology(3)
-        field = InterfererField.random(topo, seed=5, num_interferers=2)
-        ch = Channel.build(topo, interference_assigner(topo, field), RngRegistry(5))
-        assert ch.shared_state_edges() == frozenset(topo.directed_edges())
-
-
 class TestAssignerValidation:
     def test_uniform_bounds(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.link import BernoulliLink, Channel
-from repro.net.mac import MacResult
+from repro.net.mac import MacConfig
 from repro.net.packet import HopRecord, Packet
 from repro.net.topology import line_topology
 from repro.net.trace import GroundTruth
@@ -63,9 +63,9 @@ class TestGroundTruth:
 
     def test_record_hop_accumulates(self):
         gt, _ = self.make_gt()
-        gt.record_hop(1, 0, MacResult(3, 3, 1.0))
-        gt.record_hop(1, 0, MacResult(1, 1, 2.0))
-        gt.record_hop(1, 0, MacResult(4, None, 3.0))
+        gt.hops.append(HopRecord(1, 0, 3, 1.0, True))
+        gt.hops.append(HopRecord(1, 0, 1, 2.0, True))
+        gt.hops.append(HopRecord(1, 0, 4, 3.0, False))
         usage = gt.link_usage[(1, 0)]
         assert usage.exchanges == 3
         assert usage.frames_sent == 8
@@ -102,7 +102,7 @@ class TestGroundTruth:
         # Drive some frames through the channel so empirical exists.
         for i in range(2000):
             channel.transmit(1, 0, float(i))
-        gt.record_hop(1, 0, MacResult(1, 1, 1.0))
+        gt.hops.append(HopRecord(1, 0, 1, 1.0, True))
         emp = gt.true_loss((1, 0), kind="empirical")
         model = gt.true_loss((1, 0), kind="model")
         assert abs(emp - 0.2) < 0.03
@@ -113,12 +113,41 @@ class TestGroundTruth:
     def test_true_loss_map_covers_used_links_only(self):
         gt, channel = self.make_gt()
         channel.transmit(1, 0, 0.0)
-        gt.record_hop(1, 0, MacResult(1, 1, 1.0))
+        gt.hops.append(HopRecord(1, 0, 1, 1.0, True))
         losses = gt.true_loss_map(kind="empirical")
         assert set(losses) == {(1, 0)}
+        assert gt.used_links() == [(1, 0)]
 
     def test_observation_window(self):
         gt, _ = self.make_gt()
         gt.record_generated(Packet(origin=1, seqno=0, created_at=5.0))
-        gt.record_hop(1, 0, MacResult(2, 2, 9.0))
+        gt.hops.append(HopRecord(1, 0, 2, 9.0, True))
         assert gt.observation_window == (5.0, 9.0)
+
+    def test_link_usage_read_part_way_equals_one_fold(self):
+        max_attempts = MacConfig().max_attempts
+        hops = [
+            HopRecord(2, 1, 2, 1.0, True),
+            HopRecord(1, 0, 1, 1.5, True),
+            # A dead receiver: every attempt timed out.
+            HopRecord(2, 1, max_attempts, 2.0, False),
+            HopRecord(1, 0, 3, 4.0, True),
+            HopRecord(2, 1, 1, 3.0, True),
+        ]
+        whole, _ = self.make_gt()
+        whole.hops.extend(hops)
+        part, _ = self.make_gt()
+        part.hops.extend(hops[:3])
+        early = part.link_usage
+        assert early[(2, 1)].attempt_samples == [2, None]
+        assert part.observation_window == (0.0, 2.0)
+        part.hops.extend(hops[3:])
+        assert part.link_usage == whole.link_usage
+        assert list(part.link_usage) == [(2, 1), (1, 0)]
+        usage = part.link_usage[(2, 1)]
+        assert usage.attempt_samples == [2, None, 1]
+        assert usage.exchanges == 3
+        assert usage.frames_sent == 3 + max_attempts
+        assert usage.received == 2
+        assert usage.retransmissions_observed == 1
+        assert part.observation_window == whole.observation_window == (0.0, 4.0)

@@ -10,6 +10,7 @@ from repro.net.topology import grid_topology, line_topology, random_geometric_to
 from repro.tomography.em import EMTomography
 from repro.tomography.linear import LinearTomography
 from repro.tomography.mle_tree import TreeRatioTomography
+from repro.workloads.scenarios import dynamic_rgg_scenario
 
 
 def run_with(observers, topo, seed, *, duration=400.0, noise=0.0, max_retries=2,
@@ -75,6 +76,21 @@ class TestTreeRatio:
         result = run_with([obs], line_topology(3), seed=34, duration=100.0)
         tomo = obs.solve()
         assert all(n > 0 for n in tomo.support.values())
+
+    def test_support_equals_scanned_observation_count(self):
+        obs = TreeRatioTomography()
+        result = (
+            dynamic_rgg_scenario(30)
+            .with_config(duration=120.0)
+            .make_simulation(7, observers=[obs])
+            .run()
+        )
+        assert result.ground_truth.packets_dropped > 0
+        tomo = obs.solve()
+        assert tomo.support
+        for (origin, _), n in tomo.support.items():
+            scanned = sum(1 for o, _, _ in obs.packet_observations if o == origin)
+            assert n == scanned
 
 
 class TestLinear:
