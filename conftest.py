@@ -10,8 +10,9 @@ def pytest_addoption(parser):
         "--regen-golden",
         action="store_true",
         default=False,
-        help="Rewrite the golden-trace fixtures under tests/fixtures/golden/ "
-        "from the current code instead of comparing against them.",
+        help="Rewrite the golden fixtures (the traces under tests/fixtures/golden/ "
+        "and tests/lint/fixtures/golden.json) from the current code instead "
+        "of comparing against them.",
     )
 
 

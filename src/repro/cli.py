@@ -134,11 +134,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{report.model_updates} model updates, "
         f"{report.decode_failures} decode failures"
     )
-    if report.decode_failures or report.duplicate_deliveries:
+    if report.decode_failures:
         causes = report.decode_failure_causes
         parts = [f"{cause}={n}" for cause, n in sorted(causes.items()) if n]
-        if report.duplicate_deliveries:
-            parts.append(f"duplicates={report.duplicate_deliveries}")
         if report.salvaged_packets:
             parts.append(
                 f"salvaged={report.salvaged_packets}pkt/{report.salvaged_hops}hops"

@@ -70,10 +70,6 @@ class DophyReport:
     model_updates: int = 0
     #: Decode failures attributed by cause (always all four causes).
     decode_failure_causes: Dict[str, int] = field(default_factory=dict)
-    #: Repeat deliveries of an already-processed packet (tolerated, counted).
-    duplicate_deliveries: int = 0
-    #: Hop events for packets with no in-flight annotation (pre-attach etc.).
-    orphan_hop_events: int = 0
     #: Failed decodes whose clean hop prefix passed the consistency check.
     salvaged_packets: int = 0
     salvaged_hops: int = 0
@@ -138,8 +134,6 @@ class DophySystem(NullObserver):
         self._decode_failure_causes: Dict[str, int] = {
             cause: 0 for cause in DECODE_FAILURE_CAUSES
         }
-        self._duplicate_deliveries = 0
-        self._orphan_hop_events = 0
         self._salvaged_packets = 0
         self._salvaged_hops = 0
         self._dissemination_rounds = 0
@@ -251,9 +245,7 @@ class DophySystem(NullObserver):
     ) -> None:
         annotation = self._inflight.get(packet.key)
         if annotation is None:
-            # Packet created before attach, or already consumed at the
-            # sink (duplicate-path hop): count, never crash.
-            self._orphan_hop_events += 1
+            # A packet this observer never saw created: nothing to annotate.
             return
         self._codec.annotate_hop(annotation, sender, receiver, first_attempt - 1)
 
@@ -263,9 +255,8 @@ class DophySystem(NullObserver):
     def on_packet_delivered(self, packet: Packet, time: float) -> None:
         annotation = self._inflight.pop(packet.key, None)
         if annotation is None:
-            # A repeat delivery or a packet created before attach: no
-            # in-flight evidence to decode.
-            self._duplicate_deliveries += 1
+            # A packet this observer never saw created: no in-flight
+            # evidence to decode.
             return
         data, bit_length = self._codec.serialize(annotation)
         if self._faults is not None:
@@ -358,8 +349,6 @@ class DophySystem(NullObserver):
             dissemination_bits=self._models.total_dissemination_bits,
             model_updates=self._models.updates_performed,
             decode_failure_causes=dict(self._decode_failure_causes),
-            duplicate_deliveries=self._duplicate_deliveries,
-            orphan_hop_events=self._orphan_hop_events,
             salvaged_packets=self._salvaged_packets,
             salvaged_hops=self._salvaged_hops,
             dissemination_rounds=self._dissemination_rounds,

@@ -30,34 +30,27 @@ Rules (see DESIGN.md §"Static guarantees" for the full rationale):
 Every rule is per-file and syntactic. Defect classes a single file
 cannot show (one RNG stream shared by two consumers, draws under
 unordered iteration, WAL/manifest effect order, swallowed evidence,
-cache write order) are pinned at runtime instead: by the sanitizer
-(:mod:`repro.sanitize`, ``REPRO_SANITIZE=1``) and by the stream and
-cache tests (DESIGN.md §13).
+atomic-write order) are pinned at runtime instead: by the sanitizer
+(:mod:`repro.sanitize`, ``REPRO_SANITIZE=1``) and by the stream tests
+(DESIGN.md §13).
 
-Violations are suppressible per line::
+A finding is reported on one line, and a pragma on that line
+suppresses it::
 
     t = time.monotonic()  # reprolint: disable=RPL002
-    # reprolint: disable-next-line=RPL001
-    rng = np.random.default_rng()
 
-(``disable-next-line`` covers the next *logical statement* — a
-multi-line call, or a decorated ``def``'s decorators and signature.)
+(a bare ``disable`` suppresses every rule on the line; a pragma that is
+neither form suppresses nothing).
 
-Run as ``python -m repro.lint src benchmarks`` (``--format json`` for
-machine-readable output); exit status is 0 when clean, 1 when any
-violation is reported, 2 on usage or parse errors. Legacy trees are
-adopted with a ratchet: ``--update-baseline FILE`` records accepted
-per-(path, rule) counts and ``--baseline FILE`` fails only on findings
-beyond them (:mod:`repro.lint.baseline`).
+Run as ``python -m repro.lint src benchmarks examples`` (``--format
+json`` for machine-readable output); exit status is 0 when clean, 1 when
+any violation is reported, 2 on usage or parse errors. ``tests/`` is
+held to zero findings outside its rule fixtures by
+``tests/lint/test_self_check.py``.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import (
-    filter_with_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.lint.engine import (
     LintError,
     Violation,
@@ -72,10 +65,7 @@ __all__ = [
     "RULE_DOCS",
     "LintError",
     "Violation",
-    "filter_with_baseline",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "save_baseline",
 ]

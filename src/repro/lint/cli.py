@@ -10,14 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.lint.baseline import (
-    baseline_from_violations,
-    filter_with_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.lint.engine import LintError, lint_paths
 from repro.lint.rules import RULE_DOCS
 
@@ -42,17 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="subtract accepted per-(path, rule) counts recorded in FILE; "
-        "only violations beyond the baseline fail the lint",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        metavar="FILE",
-        help="rewrite FILE from the current scan and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -73,20 +56,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         violations, files_scanned = lint_paths(args.paths)
-        if args.update_baseline:
-            save_baseline(
-                args.update_baseline, baseline_from_violations(violations)
-            )
-            print(
-                f"reprolint: baseline written to {args.update_baseline} "
-                f"({len(violations)} accepted violation(s))"
-            )
-            return 0
-        suppressed = 0
-        if args.baseline:
-            violations, suppressed = filter_with_baseline(
-                violations, load_baseline(args.baseline)
-            )
     except LintError as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return 2
@@ -96,16 +65,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "files_scanned": files_scanned,
             "clean": not violations,
         }
-        if args.baseline:
-            report["baseline"] = args.baseline
-            report["suppressed"] = suppressed
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        lines: List[str] = [v.render_text() for v in violations]
-        for line in lines:
-            print(line)
+        for violation in violations:
+            print(violation.render_text())
         status = "clean" if not violations else f"{len(violations)} violation(s)"
-        if suppressed:
-            status += f" ({suppressed} baselined)"
         print(f"reprolint: {files_scanned} file(s) scanned, {status}")
     return 1 if violations else 0

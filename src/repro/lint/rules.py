@@ -265,11 +265,10 @@ class WallClockRule(Rule):
     """RPL002 — host clocks / entropy inside the simulation paths.
 
     Simulated time is ``sim.now``; anything derived from the host clock
-    (or OS entropy) differs run to run and poisons traces, cache keys
-    and golden outputs. Only enforced under ``core/``, ``net/``,
+    (or OS entropy) differs run to run and poisons traces and golden
+    outputs. Only enforced under ``core/``, ``net/``,
     ``workloads/``, ``exec/`` and ``stream/`` (:data:`SIM_PATH_SEGMENTS`)
-    — benches may legitimately time themselves (and suppress the one
-    line that does).
+    — benches may legitimately time themselves.
     """
 
     rule_id = "RPL002"

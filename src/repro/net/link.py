@@ -252,7 +252,7 @@ LinkAssigner = Callable[[int, int, np.random.Generator], LinkModel]
 
 # Assigners are frozen-dataclass callables rather than closures so that
 # scenarios embedding them can be pickled to process-pool workers
-# (repro.exec) and hashed into stable cache keys.
+# (repro.exec).
 #
 # Batched drawing (the ``batch`` methods below) follows the same
 # block-draw discipline as the array kernel (net/fastsim.py):

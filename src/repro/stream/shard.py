@@ -8,10 +8,10 @@ few snapshots once every spooled record is applied, after which the
 spool is deleted unread).
 
 The apply step is the module-level :func:`shard_apply_task` — fold a
-batch into a fresh estimator, return its ``state_dict()`` delta — and
-:meth:`ShardWorker.absorb`, which merges that delta into the live
-estimator. Because :meth:`PerLinkEstimator.merge` is
-commutative/associative over sufficient statistics (the property
+batch into a fresh delta estimator — and :meth:`ShardWorker.absorb`,
+which merges that delta into the live estimator. Because
+:meth:`PerLinkEstimator.merge` is commutative/associative over
+sufficient statistics (the property
 ``tests/stream/test_merge_properties.py`` pins), the shard ends in the
 same state as if every record had been fed to it directly.
 
@@ -24,7 +24,7 @@ field-identical to one that never crashed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.estimator import PerLinkEstimator
 from repro.stream.checkpoint import (
@@ -44,19 +44,19 @@ def shard_apply_task(
     max_attempts: int,
     truncation_correction: bool,
     records: Sequence[PacketRecord],
-) -> Dict[str, Any]:
-    """Fold a record batch into a fresh estimator; return its ``state_dict()``.
+) -> PerLinkEstimator:
+    """Fold a record batch into a fresh delta estimator and return it.
 
     A pure function of its arguments. The sink merges the delta into the
-    shard's live estimator with :meth:`ShardWorker.absorb`. The delta
-    round trip stays only because ``perfbench/tracing.py`` times this
-    function and ``absorb`` by name (DESIGN.md §11).
+    shard's live estimator with :meth:`ShardWorker.absorb`; the two
+    steps stay apart because ``perfbench/tracing.py`` times each by name
+    (DESIGN.md §11).
     """
     delta = PerLinkEstimator(
         max_attempts, truncation_correction=truncation_correction
     )
     feed_estimator(delta, records)
-    return delta.state_dict()
+    return delta
 
 
 @dataclass
@@ -118,11 +118,11 @@ class ShardWorker:
         self.seq_logged = seq
         self.stats.logged += len(records)
 
-    def absorb(self, delta_state: Dict[str, Any], count: int) -> None:
+    def absorb(self, delta: PerLinkEstimator, count: int) -> None:
         """Merge an apply task's delta; advances the applied watermark."""
         if self.estimator is None:
             raise RuntimeError(f"shard {self.index} is down; restore first")
-        self.estimator.merge(PerLinkEstimator.from_state(delta_state))
+        self.estimator.merge(delta)
         self.seq_applied += count
         self.stats.applied += count
         sanitizer = _sanitize_hooks.ACTIVE

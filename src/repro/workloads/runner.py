@@ -63,8 +63,8 @@ class ApproachOutcome:
     annotation_bits: List[int] = field(default_factory=list)
     annotation_hops: List[int] = field(default_factory=list)
     control_bits: int = 0
-    #: Failure taxonomy counts (decode-failure causes, duplicates,
-    #: salvage activity); {} for approaches without one.
+    #: Failure taxonomy counts (decode-failure causes, salvage
+    #: activity); {} for approaches without one.
     failure_counts: Dict[str, int] = field(default_factory=dict)
 
 
@@ -88,7 +88,6 @@ def _failure_taxonomy(report) -> Dict[str, int]:
     that predate a counter, e.g. the Huffman variant's)."""
     counts: Dict[str, int] = dict(getattr(report, "decode_failure_causes", {}) or {})
     counts["decode_failures"] = getattr(report, "decode_failures", 0)
-    counts["duplicate_deliveries"] = getattr(report, "duplicate_deliveries", 0)
     counts["salvaged_packets"] = getattr(report, "salvaged_packets", 0)
     counts["salvaged_hops"] = getattr(report, "salvaged_hops", 0)
     return counts

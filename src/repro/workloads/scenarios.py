@@ -115,9 +115,9 @@ def _config(
 
 # -- picklable factory helpers -----------------------------------------------------
 #
-# Scenarios travel to process-pool workers (repro.exec) and into stable
-# cache keys, so everything a Scenario holds must be a module-level
-# callable (or a functools.partial of one) — never a lambda or closure.
+# Scenarios travel to process-pool workers (repro.exec), so everything
+# a Scenario holds must be a module-level callable (or a
+# functools.partial of one) — never a lambda or closure.
 
 
 def _line_topo(num_nodes: int, seed: int) -> Topology:

@@ -244,15 +244,17 @@ def test_parallel_speedup_at_least_3x():
     replicate-heavy 50-node workload (run on multi-core hardware)."""
     scenario = dynamic_rgg_scenario(50, duration=120.0)
     approaches = (dophy_approach(),)
-    t0 = time.monotonic()
+    # Host-clock reads below only time the two runs for the speedup
+    # ratio; the compared results never see them.
+    t0 = time.monotonic()  # reprolint: disable=RPL002
     serial = run_replicated(
         scenario, approaches, master_seed=7, replicates=16, jobs=1
     )
-    t1 = time.monotonic()
+    t1 = time.monotonic()  # reprolint: disable=RPL002
     parallel = run_replicated(
         scenario, approaches, master_seed=7, replicates=16, jobs=4
     )
-    t2 = time.monotonic()
+    t2 = time.monotonic()  # reprolint: disable=RPL002
     assert serial == parallel
     assert (t1 - t0) / (t2 - t1) >= 3.0, (
         f"speedup {(t1 - t0) / (t2 - t1):.2f}x below 3x"

@@ -10,8 +10,7 @@ def jitter() -> float:
 
 
 def links_list(nodes):
-    # reprolint: disable-next-line=RPL004
-    return list(set(nodes))
+    return list(set(nodes))  # reprolint: disable=RPL004
 
 
 def anything_goes(bucket=[]):  # reprolint: disable

@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, JSON/text output, --list-rules, baselines."""
+"""CLI contract: exit codes, JSON/text output, --list-rules."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.lint.cli import main
 from repro.lint.rules import ALL_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
-BASELINE = Path(__file__).parent / "baseline.json"
 
 #: The stable machine-readable schema CI consumes; adding keys is fine,
 #: renaming or removing any of these is a breaking change.
@@ -91,76 +90,3 @@ def test_unreadable_path_is_exit_two(tmp_path, capsys):
     assert main([str(tmp_path / "missing")]) == 2
     assert "error" in capsys.readouterr().err
 
-
-# -- baselines -----------------------------------------------------------------------
-
-def test_update_baseline_then_scan_is_clean(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\nrandom.random()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main([str(bad), "--update-baseline", str(baseline)]) == 0
-    assert main([str(bad), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "(1 baselined)" in out
-
-
-def test_new_violation_beyond_baseline_fails(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\nrandom.random()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main([str(bad), "--update-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    bad.write_text("import random\nrandom.random()\nrandom.random()\n")
-    assert main([str(bad), "--baseline", str(baseline)]) == 1
-    out = capsys.readouterr().out
-    # Only the overflow is reported, and it names the later finding.
-    assert out.count("RPL001") == 1
-    assert "bad.py:3" in out
-
-
-def test_fixed_violation_never_breaks_the_baseline(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\nrandom.random()\nrandom.random()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main([str(bad), "--update-baseline", str(baseline)]) == 0
-    bad.write_text("import random\nrandom.random()\n")
-    assert main([str(bad), "--baseline", str(baseline)]) == 0
-
-
-def test_baseline_json_report_carries_suppression_count(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\nrandom.random()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main([str(bad), "--update-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main(["--format", "json", str(bad), "--baseline", str(baseline)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["clean"] is True
-    assert report["suppressed"] == 1
-    assert report["baseline"] == str(baseline)
-
-
-def test_malformed_baseline_is_exit_two(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("x = 1\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{\"version\": 99}\n")
-    assert main([str(bad), "--baseline", str(baseline)]) == 2
-    assert "baseline" in capsys.readouterr().err
-    assert main([str(bad), "--baseline", str(tmp_path / "missing.json")]) == 2
-
-
-def test_checked_in_tests_baseline_is_current():
-    """`python -m repro.lint tests --baseline tests/lint/baseline.json`
-    must pass from the repo root — i.e. the committed baseline matches
-    the tree. Regenerate with --update-baseline after deliberate
-    changes."""
-    repo_root = Path(__file__).parent.parent.parent
-    import os
-
-    cwd = os.getcwd()
-    os.chdir(repo_root)
-    try:
-        assert main(["tests", "--baseline", str(BASELINE)]) == 0
-    finally:
-        os.chdir(cwd)

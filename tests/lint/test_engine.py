@@ -28,68 +28,33 @@ def test_bare_disable_suppresses_everything():
     assert lint_source(src) == []
 
 
+def rules_reported(pragma):
+    """Rules still reported on a line that fires RPL001 and RPL004."""
+    src = f"import random\nx = list({{1, 2}}) or random.random()  # reprolint: {pragma}\n"
+    return sorted(v.rule for v in lint_source(src))
+
+
+def test_misspelled_rule_list_suppresses_nothing():
+    # Neither a lowercase id nor a list without `=` names a rule.
+    assert rules_reported("disable=rpl004") == ["RPL001", "RPL004"]
+    assert rules_reported("disable RPL004") == ["RPL001", "RPL004"]
+
+
+def test_rule_list_suppresses_exactly_the_listed_ids():
+    assert rules_reported("disable=RPL004") == ["RPL001"]
+    assert rules_reported("disable=") == ["RPL001", "RPL004"]
+
+
 def test_disable_next_line():
+    # The retired next-line form suppresses nothing, above the finding
+    # or on its line.
     src = (
         "import random\n"
         "# reprolint: disable-next-line=RPL001\n"
         "random.random()\n"
-        "random.random()\n"
+        "random.random()  # reprolint: disable-next-line=RPL001\n"
     )
-    assert [v.line for v in lint_source(src)] == [4]
-
-
-def test_disable_next_line_covers_multi_line_statement():
-    src = (
-        "import random\n"
-        "# reprolint: disable-next-line=RPL001\n"
-        "x = (random.random()\n"
-        "     + random.random())\n"
-        "y = random.random()\n"
-    )
-    # Both draws inside the suppressed logical statement are covered;
-    # the statement after it is not.
-    assert [v.line for v in lint_source(src)] == [5]
-
-
-def test_disable_next_line_covers_decorated_def_signature():
-    src = (
-        "import functools\n"
-        "# reprolint: disable-next-line=RPL005\n"
-        "@functools.lru_cache\n"
-        "def f(xs=[]):\n"
-        "    return xs\n"
-    )
-    assert lint_source(src) == []
-
-
-def test_disable_next_line_does_not_leak_into_def_body():
-    src = (
-        "import random\n"
-        "# reprolint: disable-next-line=RPL001\n"
-        "def f():\n"
-        "    return random.random()\n"
-    )
-    assert [v.line for v in lint_source(src)] == [4]
-
-
-def test_disable_next_line_stack_accumulates():
-    src = (
-        "import random\n"
-        "# reprolint: disable-next-line=RPL001\n"
-        "# reprolint: disable-next-line=RPL004\n"
-        "x = list({random.random()})\n"
-    )
-    assert lint_source(src) == []
-
-
-def test_disable_next_line_survives_interleaved_plain_comment():
-    src = (
-        "import random\n"
-        "# reprolint: disable-next-line=RPL001\n"
-        "# an unrelated comment\n"
-        "random.random()\n"
-    )
-    assert lint_source(src) == []
+    assert [v.line for v in lint_source(src)] == [3, 4]
 
 
 def test_pragma_inside_string_is_not_a_suppression():
@@ -139,17 +104,22 @@ def test_syntax_error_raises_lint_error(tmp_path):
 
 # -- golden JSON over the fixture corpus ---------------------------------------------
 
-def test_fixture_corpus_matches_golden_json():
+def test_fixture_corpus_matches_golden_json(request):
     """Every fixture violation, as JSON, pinned against a golden file.
 
-    Regenerate (after deliberate rule changes) with::
+    Rebless after a deliberate rule change with::
 
-        PYTHONPATH=src python tests/lint/regen_golden.py
+        PYTHONPATH=src python -m pytest tests/lint -q --regen-golden
     """
     violations = []
     for path in sorted(FIXTURES.rglob("*.py")):
         rel = path.relative_to(FIXTURES).as_posix()
         violations.extend(v.as_json() for v in lint_file(path, display=rel))
     violations.sort(key=lambda v: (v["path"], v["line"], v["col"], v["rule"]))
-    golden = json.loads((FIXTURES / "golden.json").read_text())
-    assert violations == golden["violations"]
+    golden = FIXTURES / "golden.json"
+    if request.config.getoption("--regen-golden"):
+        golden.write_text(
+            json.dumps({"violations": violations}, indent=2, sort_keys=True) + "\n"
+        )
+        pytest.skip(f"regenerated {golden.name}")
+    assert violations == json.loads(golden.read_text())["violations"]

@@ -81,16 +81,11 @@ def test_rpl001_unseeded_random_instance():
 # -- RPL002: scope is sim paths only -------------------------------------------------
 
 def test_rpl002_scoped_by_path():
-    src = "import time\nt = time.time()\n"
-    assert [v.rule for v in lint_source(src, "src/repro/net/sim.py")] == ["RPL002"]
-    assert [v.rule for v in lint_source(src, "src/repro/stream/x.py")] == ["RPL002"]
-    assert lint_source(src, "benchmarks/bench_x.py") == []
-
-
-def test_rpl002_explicit_override_beats_path():
-    src = "import os\nos.urandom(4)\n"
-    assert lint_source(src, "anywhere.py", in_sim_path=True) != []
-    assert lint_source(src, "src/repro/core/x.py", in_sim_path=False) == []
+    for src in ("import time\nt = time.time()\n", "import os\nos.urandom(4)\n"):
+        for path in ("src/repro/net/sim.py", "src/repro/stream/x.py", "core/x.py"):
+            assert [v.rule for v in lint_source(src, path)] == ["RPL002"], path
+        assert lint_source(src, "benchmarks/bench_x.py") == []
+        assert lint_source(src, "anywhere.py") == []
 
 
 # -- RPL003: boundary-crossing callables ---------------------------------------------
