@@ -124,8 +124,8 @@ class DophySystem(NullObserver):
         self._estimator: Optional[PerLinkEstimator] = None
         self._sink: Optional[int] = None
         # Per-packet in-flight annotations, keyed by (origin, seqno). Kept
-        # internal (not on Packet.annotation) so multiple measurement
-        # observers can share one run without clobbering each other.
+        # here, not on the packet, so multiple measurement observers can
+        # share one run without clobbering each other.
         self._inflight: Dict[Tuple[int, int], DophyAnnotation] = {}
         self._annotation_bits: List[int] = []
         self._annotation_hops: List[int] = []

@@ -15,7 +15,7 @@ queueing, routing trees, failures, observers — in the shared
 :class:`~repro.net.simulation.CollectionSimulation` code:
 
 * :class:`FastArqMac` — a drop-in :class:`~repro.net.mac.ArqMac`
-  replacement that pre-draws each directed link's uniform stream in
+  replacement that pre-draws each Bernoulli link's uniform stream in
   vectorized numpy blocks and resolves whole ARQ exchanges against the
   buffered values;
 * :class:`VectorizedEtxSampler` — computes a beacon round's noisy ETX
@@ -52,17 +52,12 @@ trick below is therefore paired with the argument for exactness:
   different vectorized implementation that differs in the last ulp for
   some inputs, which is why the noise is drawn as lognormal on both
   engines rather than exponentiated after the fact.)
-* Stateful Gilbert–Elliott chains declare ``chain_replayable`` and are
-  replayed against *two* buffered uniforms per attempt through
-  :meth:`~repro.net.link.GilbertElliottLink.chain_step`, which consumes
-  the pair in exactly the order ``sample`` draws them (transition
-  first, then loss in the post-transition state) and mutates the same
-  chain state object — so the per-edge stream position *and* the chain
-  state match the oracle after every exchange. The exact scalar control
-  for these edges is the event engine's :class:`~repro.net.mac.ArqMac`.
-* Models that are neither threshold-shaped nor chain-replayable fall
-  back to the exact scalar path per edge; the per-edge stream
-  granularity makes mixing safe.
+* Only :class:`~repro.net.link.BernoulliLink` edges are buffered: their
+  ``sample`` is exactly ``rng.random() >= loss``, one uniform against a
+  constant threshold. Every other model (Gilbert–Elliott chains,
+  drifting and interfered links) runs the event engine's own
+  :class:`~repro.net.mac.ArqMac`; the per-edge stream granularity
+  makes mixing safe.
 
 The contract is pinned by ``tests/net/test_fastsim_differential.py``
 (field-by-field result equality over a scenario matrix) and by the
@@ -77,7 +72,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.net.events import CalendarQueue
-from repro.net.link import Channel, LinkModel
+from repro.net.link import BernoulliLink, Channel, LinkModel
 from repro.net.mac import RETRY_INTERVAL, TX_TIME, ArqMac, MacConfig, MacResult
 from repro.net.routing import RoutingEngine
 from repro.net.sim import Simulator
@@ -105,11 +100,7 @@ def array_simulator(*, bucket_width: float = 0.01) -> Simulator:
 
 
 class _EdgePlan:
-    """Buffered fast-path state for one bufferable directed edge.
-
-    ``chain=True`` marks a chain-replay plan: each attempt consumes two
-    buffered uniforms through ``model.chain_step`` instead of comparing
-    one uniform against a loss threshold.
+    """Buffered fast-path state for one Bernoulli directed edge.
 
     ``rng`` starts as None and is derived from the channel's registry on
     the edge's first exchange: stream derivation is keyed, not
@@ -119,21 +110,13 @@ class _EdgePlan:
     derivation the dominant construction cost.
     """
 
-    __slots__ = ("rng", "model", "const_threshold", "vals", "pos", "chain")
+    __slots__ = ("rng", "loss", "vals", "pos")
 
-    def __init__(
-        self,
-        model: LinkModel,
-        const_threshold: Optional[float],
-        *,
-        chain: bool = False,
-    ):
+    def __init__(self, loss: float):
         self.rng: Optional[np.random.Generator] = None
-        self.model = model
-        self.const_threshold = const_threshold
+        self.loss = loss
         self.vals: List[float] = []
         self.pos = 0
-        self.chain = chain
 
 
 class FastArqMac:
@@ -143,18 +126,11 @@ class FastArqMac:
     same :meth:`send` signature, bit-identical :class:`MacResult` and
     channel counters for identical seeds.
 
-    An edge is *bufferable* when its link model declares the
-    one-uniform-per-attempt shape by overriding
-    :meth:`LinkModel.uniform_threshold` (Bernoulli, drifting and
-    interfered links). Its exchanges then replay buffered draws against
-    the model's loss threshold without touching ``Channel.transmit``;
-    the realized draw/success counts are folded back in one
-    :meth:`Channel.record_batch` call per exchange. Models that instead
-    declare :attr:`LinkModel.chain_replayable` (Gilbert–Elliott) are
-    replayed two buffered uniforms per attempt through the model's
-    ``chain_step``, mutating the live chain state in oracle order; their
-    exact scalar control is the event engine's ``ArqMac``. Everything
-    else runs the exact scalar oracle.
+    An edge whose model is a :class:`BernoulliLink` replays its
+    exchanges from buffered draws against the link's loss without
+    touching ``Channel.transmit``; the realized draw/success counts are
+    folded back in one :meth:`Channel.record_batch` call per exchange.
+    Every other edge runs the exact scalar oracle.
     """
 
     def __init__(self, channel: Channel, config: Optional[MacConfig] = None):
@@ -166,59 +142,19 @@ class FastArqMac:
         self._tx = TX_TIME
         self._step = TX_TIME + RETRY_INTERVAL
         self._max_attempts = self.config.max_attempts
-        # Classification is lazy, per edge on its first exchange: at
+        # Plans are made lazily, per edge on its first exchange: at
         # scale only the collection tree's ~N directed edges ever carry
-        # a frame, so eagerly classifying (and allocating plan state
-        # for) every edge of a dense deployment would dominate
-        # construction. A None entry records "classified: exact path".
-        # Plan *kind* is a per-class question, so it is memoized by
-        # model type and each lazy classification costs one dict probe.
+        # a frame, so eagerly allocating plan state for every edge of a
+        # dense deployment would dominate construction. A None entry
+        # records "seen: exact path".
         self._plans: Dict[Tuple[int, int], Optional[_EdgePlan]] = {}
-        self._kind_by_type: Dict[type, int] = {}
-
-    _EXACT, _THRESHOLD, _CHAIN = 0, 1, 2
-
-    def _model_kind(self, model: LinkModel) -> int:
-        cls = type(model)
-        kind = self._kind_by_type.get(cls)
-        if kind is None:
-            # Override check instead of a probe call: classification
-            # must not advance lazy model state (interferer chains).
-            if cls.uniform_threshold is not LinkModel.uniform_threshold:
-                kind = self._THRESHOLD
-            elif model.chain_replayable:
-                kind = self._CHAIN
-            else:
-                kind = self._EXACT
-            self._kind_by_type[cls] = kind
-        return kind
 
     def _classify(self, sender: int, receiver: int) -> Optional[_EdgePlan]:
-        plan: Optional[_EdgePlan] = None
         model = self.channel.model(sender, receiver)
-        kind = self._model_kind(model)
-        if kind == self._THRESHOLD:
-            const = (
-                model.uniform_threshold(0.0) if model.time_invariant_loss else None
-            )
-            plan = _EdgePlan(model, const)
-        elif kind == self._CHAIN:
-            plan = _EdgePlan(model, None, chain=True)
+        # An exact type check: a subclass could draw differently.
+        plan = _EdgePlan(model.loss) if type(model) is BernoulliLink else None
         self._plans[(sender, receiver)] = plan
         return plan
-
-    @property
-    def bufferable_edges(self) -> int:
-        """Directed edges eligible for the buffered fast path (diagnostics).
-
-        Counted by classifying every edge without materializing plan
-        state, so the answer is independent of which edges have carried
-        traffic so far.
-        """
-        return sum(
-            self._model_kind(model) != self._EXACT
-            for model in self.channel._models.values()
-        )
 
     def send(self, sender: int, receiver: int, start_time: float) -> MacResult:
         """Run one full ARQ exchange; bit-identical to the oracle's."""
@@ -233,42 +169,12 @@ class FastArqMac:
             rng = plan.rng = self.channel.link_rng(sender, receiver)
         vals = plan.vals
         pos = plan.pos
-        model = plan.model
-        const = plan.const_threshold
+        loss = plan.loss
         step = self._step
         max_attempts = self._max_attempts
         time = start_time
         attempts = 0
         first: Optional[int] = None
-        if plan.chain:
-            # Chain replay: two buffered uniforms per attempt, consumed in
-            # the oracle's order (transition draw, then loss draw in the
-            # post-transition state); the refill check runs before *each*
-            # value because a pair may straddle a block boundary.
-            while attempts < max_attempts:
-                attempts += 1
-                if pos >= len(vals):
-                    vals = rng.random(_BLOCK).tolist()
-                    plan.vals = vals
-                    pos = 0
-                u_transition = vals[pos]
-                pos += 1
-                if pos >= len(vals):
-                    vals = rng.random(_BLOCK).tolist()
-                    plan.vals = vals
-                    pos = 0
-                u_loss = vals[pos]
-                pos += 1
-                if model.chain_step(u_transition, u_loss):
-                    first = attempts
-                    time += self._tx
-                    break
-                time += step
-            plan.pos = pos
-            self.channel.record_batch(
-                sender, receiver, attempts, 1 if first is not None else 0
-            )
-            return MacResult(attempts, first, time)
         while attempts < max_attempts:
             attempts += 1
             if pos >= len(vals):
@@ -277,15 +183,7 @@ class FastArqMac:
                 pos = 0
             draw = vals[pos]
             pos += 1
-            if const is not None:
-                threshold = const
-            else:
-                dynamic = model.uniform_threshold(time)
-                # Classification already checked the override; a None here
-                # would mean the model broke the all-or-nothing contract.
-                assert dynamic is not None
-                threshold = dynamic
-            if draw >= threshold:
+            if draw >= loss:
                 # ACKs are perfect: first reception ends the exchange.
                 first = attempts
                 time += self._tx

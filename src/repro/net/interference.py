@@ -15,7 +15,7 @@ the spatial analogue of the F9 burstiness experiment.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -146,11 +146,6 @@ class InterferedLink(LinkModel):
 
     def sample(self, rng: np.random.Generator, time: float) -> bool:
         return bool(rng.random() >= self.true_loss(time))
-
-    def uniform_threshold(self, time: float) -> Optional[float]:
-        # The interferer on/off processes advance lazily keyed by `time`,
-        # so querying here consumes exactly the randomness `sample` would.
-        return self.true_loss(time)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"InterferedLink(base={self.base_loss:.3f})"

@@ -47,29 +47,9 @@ class LinkModel(ABC):
     #: array engine's vectorized paths cache per-link loss arrays.
     time_invariant_loss: bool = False
 
-    #: True when ``sample`` consumes exactly *two* uniforms per call —
-    #: a state-transition draw then a loss draw — and the transition is
-    #: replayable via :meth:`chain_step`. Lets the array kernel buffer
-    #: the edge's uniform stream in blocks (Gilbert–Elliott).
-    chain_replayable: bool = False
-
     @abstractmethod
     def sample(self, rng: np.random.Generator, time: float) -> bool:
         """Draw one frame transmission at ``time``; True = received."""
-
-    def uniform_threshold(self, time: float) -> Optional[float]:
-        """Loss threshold ``p`` such that ``sample`` is exactly
-        ``rng.random() >= p`` at ``time``, or None when the model draws
-        differently (extra draws, internal state).
-
-        The array kernel buffers each link's uniform stream in blocks and
-        replays exchanges against this threshold; returning a value here
-        is a *bit-identity contract*: the model's ``sample`` must consume
-        exactly one uniform per call and compare it against the returned
-        threshold. Stateful models (Gilbert–Elliott) return None and keep
-        the scalar draw path.
-        """
-        return None
 
     @abstractmethod
     def true_loss(self, time: float) -> float:
@@ -94,10 +74,8 @@ class BernoulliLink(LinkModel):
         self.loss = check_probability(loss, "loss")
 
     def sample(self, rng: np.random.Generator, time: float) -> bool:
+        # The array kernel's buffered MAC replays exactly this comparison.
         return bool(rng.random() >= self.loss)
-
-    def uniform_threshold(self, time: float) -> Optional[float]:
-        return self.loss
 
     def true_loss(self, time: float) -> float:
         return self.loss
@@ -109,7 +87,7 @@ class BernoulliLink(LinkModel):
     def _prevalidated(cls, loss: float) -> "BernoulliLink":
         """Construct without re-validating ``loss``.
 
-        For the batched assigner paths only: the loss comes from
+        For the uniform assigner's batch only: the loss comes from
         ``low + (high - low) * u`` with validated ``low``/``high`` in
         [0, 1] and ``u`` in [0, 1), so it is a probability by
         construction and the per-instance range check is pure overhead
@@ -135,8 +113,6 @@ class GilbertElliottLink(LinkModel):
 
     # The chain state is hidden but the stationary loss is constant.
     time_invariant_loss = True
-    # Exactly two uniforms per sample: transition draw, then loss draw.
-    chain_replayable = True
 
     def __init__(
         self,
@@ -162,9 +138,7 @@ class GilbertElliottLink(LinkModel):
         return self.p_gb / (self.p_gb + self.p_bg)
 
     def sample(self, rng: np.random.Generator, time: float) -> bool:
-        # State transition first, then a draw in the new state. Kept in
-        # lockstep with chain_step below: sample() == chain_step() fed
-        # the same two uniforms, bit for bit.
+        # State transition first, then a draw in the new state.
         if self._in_bad:
             if rng.random() < self.p_bg:
                 self._in_bad = False
@@ -173,23 +147,6 @@ class GilbertElliottLink(LinkModel):
                 self._in_bad = True
         loss = self.loss_bad if self._in_bad else self.loss_good
         return bool(rng.random() >= loss)
-
-    def chain_step(self, u_transition: float, u_loss: float) -> bool:
-        """One frame draw replayed from two pre-drawn uniforms.
-
-        Mirrors :meth:`sample` exactly — same transition comparison,
-        same state mutation, same loss comparison — so the array
-        kernel's buffered blocks (which pre-draw the edge's uniform
-        stream) reproduce the chain's trajectory bit-identically.
-        """
-        if self._in_bad:
-            if u_transition < self.p_bg:
-                self._in_bad = False
-        else:
-            if u_transition < self.p_gb:
-                self._in_bad = True
-        loss = self.loss_bad if self._in_bad else self.loss_good
-        return u_loss >= loss
 
     def true_loss(self, time: float) -> float:
         pi_bad = self.stationary_bad_fraction
@@ -237,9 +194,6 @@ class DriftingLink(LinkModel):
     def sample(self, rng: np.random.Generator, time: float) -> bool:
         return bool(rng.random() >= self.true_loss(time))
 
-    def uniform_threshold(self, time: float) -> Optional[float]:
-        return self.true_loss(time)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"DriftingLink(base={self.base_loss:.3f}, amp={self.amplitude:.3f},"
@@ -254,25 +208,21 @@ LinkAssigner = Callable[[int, int, np.random.Generator], LinkModel]
 # scenarios embedding them can be pickled to process-pool workers
 # (repro.exec).
 #
-# Batched drawing (the ``batch`` methods below) follows the same
-# block-draw discipline as the array kernel (net/fastsim.py):
-# ``Generator.random(n)`` consumes the PCG64 stream exactly as n scalar
-# ``random()`` calls would, and ``Generator.uniform(low, high)`` is
+# The uniform assigner's ``batch`` follows the same block-draw
+# discipline as the array kernel (net/fastsim.py): ``Generator.random(n)``
+# consumes the PCG64 stream exactly as n scalar ``random()`` calls
+# would, and ``Generator.uniform(low, high)`` is
 # ``low + (high - low) * next_double`` — one raw uniform plus the same
 # IEEE-754 multiply/add NumPy's elementwise kernels perform. A batch of
-# k-draw calls therefore replays ``rng.random(k * count)`` reshaped
-# row-major, bit-identical to the scalar call sequence in both values
-# and post-call stream state (pinned by tests/net/test_link.py).
+# ``count`` calls therefore replays ``rng.random(count)``, bit-identical
+# to the scalar call sequence in both values and post-call stream state
+# (pinned by tests/net/test_link.py).
 
 
 @dataclass(frozen=True)
 class _UniformLossAssigner:
     low: float
     high: float
-
-    #: Every call yields a BernoulliLink, so ``Channel.build``'s
-    #: symmetric mode can clone the backward model without a draw.
-    produces_bernoulli = True
 
     def __call__(self, u: int, v: int, rng: np.random.Generator) -> LinkModel:
         return BernoulliLink(float(rng.uniform(self.low, self.high)))
@@ -308,24 +258,6 @@ class _GilbertElliottAssigner:
             loss_bad=float(rng.uniform(*self.loss_bad_range)),
         )
 
-    def batch(self, count: int, rng: np.random.Generator) -> "list[LinkModel]":
-        """Replay ``count`` sequential two-uniform ``__call__``s at once.
-
-        Each call draws loss_good then loss_bad, so the flat stream is
-        ``[g0, b0, g1, b1, ...]`` — a row-major (count, 2) reshape.
-        """
-        raw = rng.random(2 * count).reshape(count, 2)
-        g_lo, g_hi = self.loss_good_range
-        b_lo, b_hi = self.loss_bad_range
-        goods = g_lo + (g_hi - g_lo) * raw[:, 0]
-        bads = b_lo + (b_hi - b_lo) * raw[:, 1]
-        return [
-            GilbertElliottLink(
-                self.p_good_to_bad, self.p_bad_to_good, loss_good=g, loss_bad=b
-            )
-            for g, b in zip(goods.tolist(), bads.tolist())
-        ]
-
 
 def gilbert_elliott_assigner(
     *,
@@ -359,27 +291,6 @@ class _DriftingLossAssigner:
             period=float(rng.uniform(*self.period_range)),
             phase=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
-
-    def batch(self, count: int, rng: np.random.Generator) -> "list[LinkModel]":
-        """Replay ``count`` sequential four-uniform ``__call__``s at once.
-
-        Per-call draw order is base, amplitude, period, phase — a
-        row-major (count, 4) reshape of the flat uniform stream.
-        """
-        raw = rng.random(4 * count).reshape(count, 4)
-        b_lo, b_hi = self.base_range
-        a_lo, a_hi = self.amplitude_range
-        p_lo, p_hi = self.period_range
-        bases = b_lo + (b_hi - b_lo) * raw[:, 0]
-        amps = a_lo + (a_hi - a_lo) * raw[:, 1]
-        periods = p_lo + (p_hi - p_lo) * raw[:, 2]
-        phases = 0.0 + (2.0 * math.pi - 0.0) * raw[:, 3]
-        return [
-            DriftingLink(base_loss=b, amplitude=a, period=p, phase=ph)
-            for b, a, p, ph in zip(
-                bases.tolist(), amps.tolist(), periods.tolist(), phases.tolist()
-            )
-        ]
 
 
 def drifting_loss_assigner(
@@ -453,47 +364,29 @@ class Channel:
         topology: Topology,
         assigner: LinkAssigner,
         rng_registry: RngRegistry,
-        *,
-        symmetric: bool = False,
     ) -> "Channel":
         """Create models for every directed edge using ``assigner``.
 
-        ``symmetric=True`` gives both directions of a physical link the
-        same model *instance* only when that is statistically safe
-        (Bernoulli); stateful models always get distinct instances with
-        identical parameters via a shared parameter draw.
+        Each physical link draws its forward model, then its backward
+        one, from the ``("channel", "assign")`` stream.
         """
         models: Dict[Tuple[int, int], LinkModel] = {}
         assign_rng = rng_registry.get("channel", "assign")
         edges = topology.undirected_edges()
         batch = getattr(assigner, "batch", None)
-        if batch is not None and (
-            not symmetric or getattr(assigner, "produces_bernoulli", False)
-        ):
+        if batch is not None:
             # Array-at-once parameter draws. ``batch`` replays the exact
             # per-call uniform stream of the scalar loop below (see the
             # block-draw discipline note above), so both the model
             # parameters and the post-build RNG state are bit-identical.
-            if symmetric:
-                # Scalar path draws forward only and clones backward.
-                for (u, v), fwd in zip(edges, batch(len(edges), assign_rng)):
-                    models[(u, v)] = fwd
-                    models[(v, u)] = BernoulliLink._prevalidated(fwd.loss)  # type: ignore[attr-defined]
-            else:
-                # Scalar interleaving is fwd, bwd per physical link.
-                drawn = iter(batch(2 * len(edges), assign_rng))
-                for u, v in edges:
-                    models[(u, v)] = next(drawn)
-                    models[(v, u)] = next(drawn)
+            drawn = iter(batch(2 * len(edges), assign_rng))
+            for u, v in edges:
+                models[(u, v)] = next(drawn)
+                models[(v, u)] = next(drawn)
         else:
             for u, v in edges:
-                forward = assigner(u, v, assign_rng)
-                if symmetric and isinstance(forward, BernoulliLink):
-                    backward: LinkModel = BernoulliLink(forward.loss)
-                else:
-                    backward = assigner(v, u, assign_rng)
-                models[(u, v)] = forward
-                models[(v, u)] = backward
+                models[(u, v)] = assigner(u, v, assign_rng)
+                models[(v, u)] = assigner(v, u, assign_rng)
         return cls(topology, models, rng_registry)
 
     def model(self, sender: int, receiver: int) -> LinkModel:

@@ -2,15 +2,16 @@
 
 A :class:`Packet` is a data-collection message travelling from an origin
 node to the sink. The simulator appends a :class:`HopRecord` for every
-link traversal (the ground truth); annotation strategies (Dophy or a
-baseline) maintain their own payload in :attr:`Packet.annotation` — the
-only information a real sink would see.
+link traversal (the ground truth). The packet carries no annotation:
+an annotation strategy keeps its in-flight payloads itself, keyed by
+:attr:`Packet.key` (``DophySystem`` does), so several observers can
+share one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = ["HopRecord", "Packet"]
 
@@ -53,8 +54,6 @@ class Packet:
     created_at: float
     #: Ground-truth hop log (simulator-side; not visible to the sink).
     hops: List[HopRecord] = field(default_factory=list)
-    #: Opaque per-protocol annotation payload (what the radio carries).
-    annotation: Any = None
     #: Set when the packet reaches the sink.
     delivered_at: Optional[float] = None
     #: Set when the packet is dropped (max retries exhausted / TTL).

@@ -116,15 +116,22 @@ def save_trace(
     return path
 
 
+#: JSON number types (``bool`` is excluded: ``type(True)`` is ``bool``).
+_NUMBER = (int, float)
+
+
 def _parse_hops(
-    lineno: int, hops: list, max_attempts: int
+    lineno: int, hops: Any, max_attempts: int
 ) -> List[Tuple[int, int, int, bool]]:
     """A packet line's hops as tuples.
 
     Rejects a hop that is not ``[sender, receiver, attempts, delivered]``
-    and a delivered hop whose attempt count lies outside
-    ``[1, max_attempts]``, which no estimator can take.
+    with integer endpoints and a boolean outcome, and a delivered hop
+    whose attempt count lies outside ``[1, max_attempts]``, which no
+    estimator can take.
     """
+    if type(hops) is not list:
+        raise ValueError(f"line {lineno}: hops {hops!r} is not a list")
     out = []
     for hop in hops:
         if type(hop) is not list or len(hop) != 4:
@@ -133,6 +140,14 @@ def _parse_hops(
                 "[sender, receiver, attempts, delivered]"
             )
         sender, receiver, attempts, delivered = hop
+        if type(sender) is not int or type(receiver) is not int:
+            raise ValueError(
+                f"line {lineno}: hop {hop!r} has a non-integer sender or receiver"
+            )
+        if type(delivered) is not bool:
+            raise ValueError(
+                f"line {lineno}: hop {hop!r} has a non-boolean delivered flag"
+            )
         if delivered and not (type(attempts) is int and 1 <= attempts <= max_attempts):
             raise ValueError(
                 f"line {lineno}: delivered hop {hop!r} has attempt count "
@@ -142,11 +157,67 @@ def _parse_hops(
     return out
 
 
+def _parse_header(lineno: int, record: Dict[str, Any]) -> TraceHeader:
+    if record.get("format_version") != FORMAT_VERSION:
+        raise ValueError(
+            f"line {lineno}: unsupported trace format version "
+            f"{record.get('format_version')!r}"
+        )
+    try:
+        header = TraceHeader(
+            num_nodes=record["num_nodes"],
+            sink=record["sink"],
+            duration=record["duration"],
+            max_attempts=record["max_attempts"],
+            true_losses=record.get("true_losses", {}),
+        )
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: header has no {exc.args[0]!r}") from None
+    if type(header.max_attempts) is not int or header.max_attempts < 1:
+        raise ValueError(
+            f"line {lineno}: max_attempts {header.max_attempts!r} is not a "
+            "positive integer"
+        )
+    return header
+
+
+def _parse_packet(
+    lineno: int, record: Dict[str, Any], max_attempts: int
+) -> TracePacket:
+    try:
+        origin = record["origin"]
+        seqno = record["seqno"]
+        created_at = record["created_at"]
+        hops = record["hops"]
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: packet has no {exc.args[0]!r}") from None
+    delivered_at = record.get("delivered_at")
+    if type(origin) is not int or type(seqno) is not int:
+        raise ValueError(
+            f"line {lineno}: origin {origin!r} and seqno {seqno!r} must be integers"
+        )
+    if type(created_at) not in _NUMBER:
+        raise ValueError(f"line {lineno}: created_at {created_at!r} is not a number")
+    if delivered_at is not None and type(delivered_at) not in _NUMBER:
+        raise ValueError(
+            f"line {lineno}: delivered_at {delivered_at!r} is neither a number nor null"
+        )
+    return TracePacket(
+        origin=origin,
+        seqno=seqno,
+        created_at=created_at,
+        delivered_at=delivered_at,
+        drop_reason=record.get("drop_reason"),
+        hops=_parse_hops(lineno, hops, max_attempts),
+    )
+
+
 def load_trace(path: PathLike) -> Tuple[TraceHeader, List[TracePacket]]:
     """Read a trace file back into structured records.
 
-    Raises ``ValueError`` naming the line of a malformed record; the
-    header must come before the first packet.
+    Raises ``ValueError`` naming the line of a malformed record: one that
+    is not a JSON object, lacks a key its type needs or holds a value of
+    the wrong type. The header must come before the first packet.
     """
     path = pathlib.Path(path)
     header: Optional[TraceHeader] = None
@@ -156,33 +227,19 @@ def load_trace(path: PathLike) -> Tuple[TraceHeader, List[TracePacket]]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: not JSON ({exc})") from None
+            if type(record) is not dict:
+                raise ValueError(f"line {lineno}: {record!r} is not a JSON object")
             kind = record.get("type")
             if kind == "header":
-                if record.get("format_version") != FORMAT_VERSION:
-                    raise ValueError(
-                        f"unsupported trace format version {record.get('format_version')}"
-                    )
-                header = TraceHeader(
-                    num_nodes=record["num_nodes"],
-                    sink=record["sink"],
-                    duration=record["duration"],
-                    max_attempts=record["max_attempts"],
-                    true_losses=record.get("true_losses", {}),
-                )
+                header = _parse_header(lineno, record)
             elif kind == "packet":
                 if header is None:
                     raise ValueError(f"line {lineno}: no header line before this packet")
-                packets.append(
-                    TracePacket(
-                        origin=record["origin"],
-                        seqno=record["seqno"],
-                        created_at=record["created_at"],
-                        delivered_at=record.get("delivered_at"),
-                        drop_reason=record.get("drop_reason"),
-                        hops=_parse_hops(lineno, record["hops"], header.max_attempts),
-                    )
-                )
+                packets.append(_parse_packet(lineno, record, header.max_attempts))
             else:
                 raise ValueError(f"line {lineno}: unknown record type {kind!r}")
     if header is None:

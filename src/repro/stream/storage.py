@@ -17,8 +17,7 @@ state directory).
   batch of WAL lines with one write and one ``fsync``; the WAL commits
   each shard's round this way (group commit), so a record is acked only
   once its batch is on disk and survives the process dying on the next
-  instruction (``fsync=False`` trades that durability for speed in
-  tests and benches).
+  instruction.
 
 Torn *tails* (the one failure atomic replace cannot prevent: a crash
 mid-append, which leaves the batch's complete lines plus at most one
@@ -135,17 +134,14 @@ class MemoryStore(BlobStore):
 class DirectoryStore(BlobStore):
     """One flat directory of state files with crash-safe writes."""
 
-    def __init__(self, root: "str | os.PathLike[str]", *, fsync: bool = True) -> None:
+    def __init__(self, root: "str | os.PathLike[str]") -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
 
     def _path(self, name: str) -> pathlib.Path:
         return self.root / _check_name(name)
 
     def _fsync_dir(self) -> None:
-        if not self.fsync:
-            return
         fd = os.open(str(self.root), os.O_RDONLY)
         try:
             os.fsync(fd)
@@ -165,8 +161,7 @@ class DirectoryStore(BlobStore):
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
                 fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
             self._fsync_dir()
         except BaseException:
@@ -186,8 +181,7 @@ class DirectoryStore(BlobStore):
         with path.open("ab") as fh:
             fh.write(_joined(lines))
             fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
 
     def read_lines(self, name: str) -> List[str]:
         path = self._path(name)

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core import DophyConfig, DophySystem
 from repro.net.faults import FaultPlan
-from repro.net.fastsim import FastArqMac
+from repro.net.fastsim import _BLOCK, FastArqMac
 from repro.net.routing import RoutingConfig
 from repro.sanitize import diff_fingerprints, sanitize_run
 from repro.workloads.scenarios import (
@@ -125,6 +125,18 @@ def _assert_results_identical(event, array):
         assert array.channel.empirical_loss(*edge) == event.channel.empirical_loss(*edge)
 
 
+def _link_draw_sizes(factory):
+    """Block sizes an array run (12 nodes, seed 3) draws from its
+    ``link/u/v`` streams, as the runtime sanitizer records them."""
+    with sanitize_run("array") as san:
+        _run(factory, {"num_nodes": 12}, "array", 3)
+    return {
+        record.count
+        for record in san.fingerprint().draws
+        if record.stream.startswith("link/")
+    }
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
     "factory,kwargs,cfg",
@@ -192,17 +204,9 @@ def test_fault_injection_identical(seed):
 
 
 def test_gilbert_elliott_chain_replay_classification():
-    """GE chains are replayed against buffered uniforms (two per attempt,
-    in the exact transition-then-loss order the scalar oracle draws), so
-    every GE edge is bufferable."""
-    simulation = (
-        bursty_rgg_scenario(num_nodes=12)
-        .with_config(duration=60.0, engine="array")
-        .make_simulation(seed=3)
-    )
-    assert isinstance(simulation.mac, FastArqMac)
-    edges = len(list(simulation.topology.directed_edges()))
-    assert simulation.mac.bufferable_edges == edges
+    """Gilbert–Elliott chains are not replayed against buffered uniforms:
+    GE edges run the exact ``ArqMac`` and draw one value per frame."""
+    assert _link_draw_sizes(bursty_rgg_scenario) == {1}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -305,18 +309,13 @@ def test_injected_extra_draw_is_named_with_site_and_index(monkeypatch):
 
 
 def test_bufferable_classification():
-    """Bernoulli / drifting / interfered / GE links ride the buffered path."""
-    for factory, kwargs in [
-        (dynamic_rgg_scenario, {"num_nodes": 12}),
-        (drifting_rgg_scenario, {"num_nodes": 12}),
-        (interference_rgg_scenario, {"num_nodes": 12}),
-        (bursty_rgg_scenario, {"num_nodes": 12}),
+    """The buffered MAC serves Bernoulli links alone: a Bernoulli run
+    draws every ``link/u/v`` stream in blocks, while drifting and
+    interfered links draw one value per frame through the exact
+    ``ArqMac``."""
+    for factory, draw_size in [
+        (dynamic_rgg_scenario, _BLOCK),
+        (drifting_rgg_scenario, 1),
+        (interference_rgg_scenario, 1),
     ]:
-        simulation = (
-            factory(**kwargs)
-            .with_config(duration=60.0, engine="array")
-            .make_simulation(seed=3)
-        )
-        assert isinstance(simulation.mac, FastArqMac)
-        edges = len(list(simulation.topology.directed_edges()))
-        assert simulation.mac.bufferable_edges == edges
+        assert _link_draw_sizes(factory) == {draw_size}, factory.__name__

@@ -116,18 +116,43 @@ class TestMalformedTraces:
         assert len(packets) == len(run_result.packets)
 
 
-def _edit_last_delivered_hop(path, edit):
-    """Replace the last delivered packet's first hop with ``edit(hop)``;
-    returns that packet's line number."""
+def _edit_last_delivered_line(path, edit):
+    """Replace the last delivered packet's line with ``edit(record)``, a
+    record or a raw line; returns that line's number."""
     lines = path.read_text().splitlines()
     for index in range(len(lines) - 1, -1, -1):
         record = json.loads(lines[index])
         if record.get("delivered_at") is not None:
-            record["hops"][0] = edit(record["hops"][0])
-            lines[index] = json.dumps(record)
+            edited = edit(record)
+            lines[index] = edited if isinstance(edited, str) else json.dumps(edited)
             path.write_text("\n".join(lines) + "\n")
             return index + 1
     raise AssertionError("trace has no delivered packet")
+
+
+def _edit_last_delivered_hop(path, edit):
+    """Replace the last delivered packet's first hop with ``edit(hop)``;
+    returns that packet's line number."""
+
+    def edit_record(record):
+        record["hops"][0] = edit(record["hops"][0])
+        return record
+
+    return _edit_last_delivered_line(path, edit_record)
+
+
+def _without(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+def _with(key, value):
+    return lambda record: {**record, key: value}
+
+
+def _edit_header(path, edit):
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(edit(json.loads(lines[0])))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _with_attempts(attempts):
@@ -151,6 +176,61 @@ class TestHopValidation:
         path = save_trace(run_result, tmp_path / "run.jsonl")
         lineno = _edit_last_delivered_hop(path, edit)
         with pytest.raises(ValueError, match=rf"line {lineno}: hop .* is not"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (lambda hop: ["x"] + hop[1:], "non-integer sender or receiver"),
+            (lambda hop: hop[:1] + [float(hop[1])] + hop[2:], "non-integer sender"),
+            (lambda hop: hop[:3] + [1], "non-boolean delivered flag"),
+        ],
+        ids=["str-sender", "float-receiver", "int-delivered"],
+    )
+    def test_hop_with_a_mistyped_field_rejected(self, run_result, tmp_path, edit, error):
+        path = save_trace(run_result, tmp_path / "run.jsonl")
+        lineno = _edit_last_delivered_hop(path, edit)
+        with pytest.raises(ValueError, match=rf"line {lineno}: hop .* {error}"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (_without("seqno"), "packet has no 'seqno'"),
+            (_without("hops"), "packet has no 'hops'"),
+            (_with("origin", "3"), "origin '3' and seqno .* must be integers"),
+            (_with("seqno", 1.0), "seqno 1.0 must be integers"),
+            (_with("created_at", "0.5"), "created_at '0.5' is not a number"),
+            (_with("delivered_at", True), "delivered_at True is neither"),
+            (_with("hops", {}), "hops {} is not a list"),
+            (lambda record: "[1, 2]", r"\[1, 2\] is not a JSON object"),
+            (lambda record: '{"type": "packet",', "not JSON"),
+        ],
+        ids=[
+            "no-seqno", "no-hops", "str-origin", "float-seqno", "str-created_at",
+            "bool-delivered_at", "dict-hops", "json-list", "truncated-json",
+        ],
+    )
+    def test_packet_line_the_sink_cannot_use_rejected(
+        self, run_result, tmp_path, edit, error
+    ):
+        path = save_trace(run_result, tmp_path / "run.jsonl")
+        lineno = _edit_last_delivered_line(path, edit)
+        with pytest.raises(ValueError, match=rf"line {lineno}: .*{error}"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (_without("max_attempts"), "header has no 'max_attempts'"),
+            (_with("max_attempts", "6"), "max_attempts '6' is not a positive integer"),
+        ],
+        ids=["no-max_attempts", "str-max_attempts"],
+    )
+    def test_header_the_sink_cannot_use_rejected(self, run_result, tmp_path, edit, error):
+        path = save_trace(run_result, tmp_path / "run.jsonl")
+        _edit_header(path, edit)
+        with pytest.raises(ValueError, match=rf"line 1: {error}"):
             load_trace(path)
 
     def test_a_packet_before_the_header_is_rejected(self, run_result, tmp_path):

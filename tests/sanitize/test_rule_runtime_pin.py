@@ -119,7 +119,7 @@ def _records(n):
 def test_rpl008_bad_order_breaks_effect_protocol(tmp_path):
     mod = load_fixture("stream/rpl008_bad.py")
     with sanitize_run("bad") as san:
-        store = DirectoryStore(tmp_path / "bad", fsync=False)
+        store = DirectoryStore(tmp_path / "bad")
         worker = ShardWorker(0, 3, store)
         mod.bad_round(worker, _records(5))
         mod.bad_snapshot(worker, store, round_no=1)
@@ -132,7 +132,7 @@ def test_rpl008_bad_order_breaks_effect_protocol(tmp_path):
 def test_rpl008_ok_order_verifies_clean(tmp_path):
     mod = load_fixture("stream/rpl008_ok.py")
     with sanitize_run("good") as san:
-        store = DirectoryStore(tmp_path / "good", fsync=False)
+        store = DirectoryStore(tmp_path / "good")
         worker = ShardWorker(0, 3, store)
         mod.good_round(worker, _records(5))
         mod.good_snapshot(worker, store, round_no=1)
@@ -145,7 +145,7 @@ def test_apply_inside_an_open_wal_group_breaks_effect_protocol(tmp_path):
     the sanitizer sees the apply run ahead of them."""
     records = _records(4)
     with sanitize_run("apply-in-group") as san:
-        worker = ShardWorker(0, 3, DirectoryStore(tmp_path / "s", fsync=False))
+        worker = ShardWorker(0, 3, DirectoryStore(tmp_path / "s"))
         with worker.wal.group():
             for seq, record in enumerate(records, start=1):
                 worker.wal.append(seq, record)
@@ -197,7 +197,7 @@ def test_rpl008_real_sink_order_is_clean_end_to_end(tmp_path):
     from repro.stream.records import feed_estimator  # noqa: F401 (import check)
     mod = load_fixture("stream/rpl008_ok.py")
     with sanitize_run("two-rounds") as san:
-        store = DirectoryStore(tmp_path / "s", fsync=False)
+        store = DirectoryStore(tmp_path / "s")
         worker = ShardWorker(0, 3, store)
         for round_no in range(3):
             mod.good_round(worker, _records(4))

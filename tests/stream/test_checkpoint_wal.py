@@ -99,21 +99,21 @@ class TestCheckpointFraming:
 
 class TestDirectoryStore:
     def test_atomic_write_and_read(self, tmp_path):
-        store = DirectoryStore(tmp_path, fsync=False)
+        store = DirectoryStore(tmp_path)
         save_checkpoint(store, "a.ckpt", {"v": 1})
         assert load_checkpoint(store, "a.ckpt") == {"v": 1}
         # No temp litter left behind after a successful replace.
         assert store.names() == ["a.ckpt"]
 
     def test_flat_names_only(self, tmp_path):
-        store = DirectoryStore(tmp_path, fsync=False)
+        store = DirectoryStore(tmp_path)
         with pytest.raises(ValueError):
             store.write_atomic("../escape", b"x")
         with pytest.raises(ValueError):
             store.write_atomic("sub/dir", b"x")
 
     def test_overwrite_is_all_or_nothing(self, tmp_path):
-        store = DirectoryStore(tmp_path, fsync=False)
+        store = DirectoryStore(tmp_path)
         save_checkpoint(store, "a.ckpt", {"v": 1})
         save_checkpoint(store, "a.ckpt", {"v": 2})
         assert load_checkpoint(store, "a.ckpt") == {"v": 2}
@@ -135,7 +135,7 @@ class TestDirectoryStore:
         ]
 
     def test_truncated_file_on_disk_is_rejected(self, tmp_path):
-        store = DirectoryStore(tmp_path, fsync=False)
+        store = DirectoryStore(tmp_path)
         save_checkpoint(store, "a.ckpt", {"v": 1})
         blob = store.read("a.ckpt")
         (tmp_path / "a.ckpt").write_bytes(blob[: len(blob) - 3])

@@ -82,37 +82,62 @@ class TestCommands:
         assert "12 nodes" in capsys.readouterr().out
 
 
+def _set_first_hop_field(field, value):
+    def edit(record, max_attempts):
+        record["hops"][0][field] = value(max_attempts)
+        return record
+
+    return edit
+
+
+def _drop(key):
+    return lambda record, max_attempts: {k: v for k, v in record.items() if k != key}
+
+
+#: Packet-line edits the sink cannot use, each as (name, edit(record,
+#: max_attempts) -> record or raw line).
+_UNUSABLE_LINES = [
+    ("attempts-past-range", _set_first_hop_field(2, lambda max_attempts: max_attempts + 2)),
+    ("str-sender", _set_first_hop_field(0, lambda max_attempts: "x")),
+    ("no-seqno", _drop("seqno")),
+    ("json-list", lambda record, max_attempts: "[1, 2]"),
+    ("truncated-json", lambda record, max_attempts: '{"type": "packet",'),
+]
+
+
 class TestServe:
     def test_trace_with_an_impossible_hop_leaves_no_state(self, tmp_path):
-        """A delivered hop past the MAC's attempt range is refused while
-        the trace loads: the process exits non-zero naming the line, and
-        no manifest is written that every later --resume would replay
-        the bad record from."""
+        """A packet line the sink cannot use (a delivered hop past the
+        MAC's attempt range, a non-integer sender, a missing key, a line
+        that is not a JSON object) is refused while the trace loads: the
+        process exits non-zero naming the line, before it creates the
+        state directory that every later --resume would replay the bad
+        record from."""
         trace = tmp_path / "run.jsonl"
         rc = main(
             ["run", "--scenario", "line", "--nodes", "6", "--duration", "120",
              "--seed", "1", "--save-trace", str(trace)]
         )
         assert rc == 0
-        lines = trace.read_text().splitlines()
-        max_attempts = json.loads(lines[0])["max_attempts"]
+        recorded = trace.read_text().splitlines()
+        max_attempts = json.loads(recorded[0])["max_attempts"]
         index = max(
-            i for i, line in enumerate(lines[1:], start=1)
+            i for i, line in enumerate(recorded[1:], start=1)
             if json.loads(line)["delivered_at"] is not None
         )
-        record = json.loads(lines[index])
-        record["hops"][0][2] = max_attempts + 2
-        lines[index] = json.dumps(record)
-        trace.write_text("\n".join(lines) + "\n")
-
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        state = tmp_path / "state"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--trace", str(trace),
-             "--state-dir", str(state), "--merge-every", "1"],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode != 0
-        assert not (state / "sink.manifest").exists()
-        assert f"line {index + 1}:" in proc.stderr
+        for name, edit in _UNUSABLE_LINES:
+            lines = list(recorded)
+            edited = edit(json.loads(lines[index]), max_attempts)
+            lines[index] = edited if isinstance(edited, str) else json.dumps(edited)
+            trace.write_text("\n".join(lines) + "\n")
+            state = tmp_path / f"state-{name}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--trace", str(trace),
+                 "--state-dir", str(state), "--merge-every", "1"],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode != 0, name
+            assert not state.exists(), name
+            assert f"line {index + 1}:" in proc.stderr, (name, proc.stderr)
