@@ -205,10 +205,12 @@ class VectorizedEtxSampler:
     * loss probabilities of time-invariant models are cached once in a
       struct-of-arrays layout; time-varying models are queried scalar
       (``math.sin`` and the interferer field keep their exact bits);
-    * reverse-link losses are gathered with a precomputed index map
-      instead of a second round of model calls;
+    * reverse-link losses are gathered through the routing engine's
+      reverse-slot permutation instead of a second round of model calls;
     * ETX arithmetic (``1 / max(1e-6, (1-l_fwd)(1-l_rev))``) runs as
       whole-array IEEE-754 ops, bitwise equal to the scalar versions;
+      when no model is time-varying the noise-free ETX is the same every
+      round, so it is computed once;
     * noise comes from one block ``lognormal`` draw on the same
       ``("routing", "beacons")`` stream: NumPy's block lognormal draws
       the same normals and exponentiates with the same C ``exp`` as n
@@ -218,33 +220,36 @@ class VectorizedEtxSampler:
     """
 
     def __init__(self, routing: RoutingEngine):
-        channel = routing.channel
-        edges = list(routing._edges)
-        index = {edge: i for i, edge in enumerate(edges)}
-        self._rev = np.asarray(
-            [index[(v, u)] for (u, v) in edges], dtype=np.intp
-        )
-        model_map = channel._models
-        models = [model_map[edge] for edge in edges]
-        self._static_loss = np.zeros(len(edges), dtype=np.float64)
+        self._rev = routing._reverse
+        model_map = routing.channel._models
+        loss = np.zeros(len(routing._edges), dtype=np.float64)
         self._dynamic: List[Tuple[int, LinkModel]] = []
-        for i, model in enumerate(models):
+        for i, edge in enumerate(routing._edges):
+            model = model_map[edge]
             if model.time_invariant_loss:
-                self._static_loss[i] = model.true_loss(0.0)
+                loss[i] = model.true_loss(0.0)
             else:
                 self._dynamic.append((i, model))
+        # Only one of the two is kept: the static losses that a
+        # time-varying round patches, or the ETX they always give.
+        self._static_loss = loss if self._dynamic else None
+        self._static_etx = None if self._dynamic else self._etx(loss)
         self._rng = routing._rng
         self._sigma = routing.config.etx_noise_std
 
+    def _etx(self, loss: "np.ndarray") -> "np.ndarray":
+        success = (1.0 - loss) * (1.0 - loss[self._rev])
+        return 1.0 / np.maximum(1e-6, success)
+
     def __call__(self, time: float) -> "np.ndarray":
-        if self._dynamic:
+        if self._static_etx is not None:
+            samples = self._static_etx
+        else:
+            assert self._static_loss is not None
             loss = self._static_loss.copy()
             for i, model in self._dynamic:
                 loss[i] = model.true_loss(time)
-        else:
-            loss = self._static_loss
-        success = (1.0 - loss) * (1.0 - loss[self._rev])
-        samples = 1.0 / np.maximum(1e-6, success)
+            samples = self._etx(loss)
         if self._sigma > 0.0:
             noise = self._rng.lognormal(0.0, self._sigma, len(samples))
             samples = samples * noise

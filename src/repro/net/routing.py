@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.net.link import Channel
 from repro.net.sim import Simulator
@@ -76,8 +77,40 @@ class ParentChange:
     new_parent: Optional[int]
 
 
+class _SptArrays(NamedTuple):
+    """Per-topology arrays of the array solver, built once.
+
+    Slots are ``RoutingEngine._edges`` slots. ``topology.directed_edges()``
+    is sorted by ``(u, v)`` and node indices follow sorted node ids, so
+    the slots of one head ``u`` (the node choosing a parent) are
+    contiguous and candidate ``v``s ascend within each group.
+    """
+
+    nodes: List[int]
+    sink: int
+    #: Node index of each slot's head ``u``.
+    head: "np.ndarray"
+    #: First slot of each head group, and that group's head index.
+    starts: "np.ndarray"
+    heads: "np.ndarray"
+    #: One entry per slot: row = the slot's head, column (``indices``) =
+    #: its tail, so ``graph.indices`` is also each slot's candidate
+    #: parent. As a graph, slot ``(v, u)`` is the arc ``v -> u``; its
+    #: ``data`` is rewritten before every solve with the estimate of the
+    #: reverse slot ``(u, v)``, the cost of ``u`` routing through ``v``.
+    graph: csr_matrix
+
+
 class RoutingEngine:
-    """Maintains the dynamic collection tree."""
+    """Maintains the dynamic collection tree.
+
+    ``spt_mode`` picks the shortest-path solver behind every tree
+    recompute: ``"full"`` is the heap Dijkstra (:meth:`_solve_spt_full`),
+    the event engine's solver and the differential oracle; ``"array"``
+    is the array engine's compiled Dijkstra plus a vectorized
+    tie-break (:meth:`_solve_spt_array`). Both return bit-identical
+    ``(best_parent, dist)``, so every downstream decision is the same.
+    """
 
     def __init__(
         self,
@@ -85,7 +118,11 @@ class RoutingEngine:
         channel: Channel,
         rng_registry: RngRegistry,
         config: Optional[RoutingConfig] = None,
+        *,
+        spt_mode: str = "full",
     ):
+        if spt_mode not in ("full", "array"):
+            raise ValueError(f"unknown SPT mode: {spt_mode!r}")
         self.topology = topology
         self.channel = channel
         self.config = config or RoutingConfig()
@@ -114,37 +151,28 @@ class RoutingEngine:
         self._etx_sampler: Optional[
             Callable[[float], Union[Sequence[float], "np.ndarray"]]
         ] = None
-        self._spt_mode = "full"
-        self._spt_cache: Optional[
-            Tuple[
-                List[int],
-                Dict[int, int],
-                "np.ndarray",
-                "np.ndarray",
-                "np.ndarray",
-                "np.ndarray",
-                "np.ndarray",
-                "np.ndarray",
-            ]
-        ] = None
+        self._spt_mode = spt_mode
+        self._spt_cache: Optional[_SptArrays] = None
         # Warm start: seed estimates with the true ETX at t=0 (as a network
         # that has been running its estimator for a while would have).
         # Each directed edge's t=0 loss is gathered once and paired with
         # its reverse edge's through a permutation; per element this is
         # the same IEEE-754 subtract/multiply/max/divide sequence as
-        # _true_etx, so the stored bits equal the scalar formula's.
+        # _true_etx, so the stored bits equal the scalar formula's. The
+        # permutation is kept: the array solver and the vectorized ETX
+        # sampler gather through it too.
         losses = np.fromiter(
             (channel.true_loss(u, v, 0.0) for u, v in self._edges),
             dtype=np.float64,
             count=len(self._edges),
         )
-        reverse = np.fromiter(
+        self._reverse: "np.ndarray" = np.fromiter(
             (self._edge_index[(v, u)] for u, v in self._edges),
             dtype=np.intp,
             count=len(self._edges),
         )
         p_data = 1.0 - losses
-        success = np.maximum(1e-6, p_data * p_data[reverse])
+        success = np.maximum(1e-6, p_data * p_data[self._reverse])
         self._etx[:] = 1.0 / success
         self._recompute_tree(0.0)
 
@@ -225,20 +253,6 @@ class RoutingEngine:
 
     # -- tree computation ---------------------------------------------------------
 
-    def set_spt_mode(self, mode: str) -> None:
-        """Select the shortest-path kernel backing ``_recompute_tree``.
-
-        ``"full"`` is the reference heap Dijkstra (the differential
-        oracle); ``"incremental"`` is the vectorized Bellman–Ford solver
-        seeded from the previous round's tree. Both produce bit-identical
-        ``(best_parent, dist)`` solutions (see
-        :meth:`_solve_spt_incremental` for the argument), so the
-        hysteresis and cycle-repair decisions downstream are identical.
-        """
-        if mode not in ("full", "incremental"):
-            raise ValueError(f"unknown SPT mode: {mode!r}")
-        self._spt_mode = mode
-
     def _recompute_tree(self, time: float) -> None:
         """Shortest paths over estimated ETX, then hysteresis-gated updates.
 
@@ -246,8 +260,8 @@ class RoutingEngine:
         cannot pass through them, and their own (stale) parents are left
         untouched until they recover.
         """
-        if self._spt_mode == "incremental":
-            best_parent, dist = self._solve_spt_incremental()
+        if self._spt_mode == "array":
+            best_parent, dist = self._solve_spt_array()
         else:
             best_parent, dist = self._solve_spt_full()
         self._apply_parent_updates(best_parent, dist, time)
@@ -280,148 +294,99 @@ class RoutingEngine:
                     heapq.heappush(heap, (cand, nbr))
         return best_parent, dist
 
-    def _spt_structure(
-        self,
-    ) -> Tuple[
-        List[int],
-        Dict[int, int],
-        "np.ndarray",
-        "np.ndarray",
-        "np.ndarray",
-        "np.ndarray",
-        "np.ndarray",
-        "np.ndarray",
-    ]:
-        """Static per-topology arrays for the vectorized solver (lazy).
-
-        Directed edges are kept in ``self._edges`` slot order so the
-        weight array is ``self._etx`` itself (no per-call gather), viewed
-        through a stable sort by head node so ``np.minimum.reduceat``
-        can reduce each node's incoming candidates in one shot.
-        """
+    def _spt_structure(self) -> _SptArrays:
+        """The array solver's per-topology arrays (built on its first solve)."""
         if self._spt_cache is None:
             nodes = list(self.topology.nodes)
-            index = {n: i for i, n in enumerate(nodes)}
-            edges = self._edges
-            # Estimate key (u, v) prices node u routing *through* v.
-            head = np.asarray([index[u] for (u, v) in edges], dtype=np.intp)
-            tail = np.asarray([index[v] for (u, v) in edges], dtype=np.intp)
-            order = np.argsort(head, kind="stable")
-            heads_sorted = head[order]
-            unique_heads, starts = np.unique(heads_sorted, return_index=True)
-            tail_ids_sorted = np.asarray(
-                [edges[i][1] for i in order.tolist()], dtype=np.int64
+            ids = np.fromiter(
+                (n for edge in self._edges for n in edge),
+                dtype=np.int64,
+                count=2 * len(self._edges),
+            ).reshape(-1, 2)
+            node_ids = np.asarray(nodes, dtype=np.int64)
+            head = np.searchsorted(node_ids, ids[:, 0])
+            tail = np.searchsorted(node_ids, ids[:, 1]).astype(np.int32)
+            starts = np.flatnonzero(np.diff(head, prepend=-1))
+            indptr = np.searchsorted(head, np.arange(len(nodes) + 1)).astype(np.int32)
+            graph = csr_matrix(
+                (np.empty(len(tail)), tail, indptr), shape=(len(nodes), len(nodes))
             )
-            self._spt_cache = (
+            self._spt_cache = _SptArrays(
                 nodes,
-                index,
-                tail,
-                order,
-                heads_sorted,
-                unique_heads,
+                nodes.index(self.topology.sink),
+                head,
                 starts,
-                tail_ids_sorted,
+                head[starts],
+                graph,
             )
         return self._spt_cache
 
-    def _solve_spt_incremental(
+    def _solve_spt_array(
         self,
     ) -> Tuple[Dict[int, Optional[int]], Dict[int, float]]:
-        """Vectorized shortest paths, bit-identical to the heap Dijkstra.
+        """Compiled Dijkstra plus a vectorized tie-break, bit-identical to
+        the heap Dijkstra.
 
         **Distances.** IEEE-754 addition is monotone and ``fl(d + w) >= d``
-        for ``w >= 0``, so both Dijkstra and Bellman–Ford compute the same
-        quantity: the minimum over sink paths of the left-folded rounded
-        sums, i.e. the unique fixpoint of
+        for ``w >= 0``, so any label-setting Dijkstra settles nodes in
+        nondecreasing distance and returns, for every node, the minimum
+        over sink paths of the left-folded rounded sums
+        ``fl(...fl(fl(0 + w1) + w2)... + wk)``: a node settled at ``d``
+        relaxes each neighbour to at most ``fl(d + w)``, so by induction
+        along any path every node's distance is at most that path's
+        fold, and each distance is itself the fold of the path that set
+        it. That quantity does not depend on the heap or the visiting
+        order, so scipy's Dijkstra over the reversed arcs (sink to
+        children) and the heap Dijkstra return the same bits.
 
-            dist[n] = min_p fl(dist[p] + w(n, p))    (alive p, sink = 0)
-
-        reached from any starting point between the fixpoint and the
-        all-infinity start within ``num_nodes`` sweeps. We seed the sweeps
-        with the fold of the *new* weights along the previous round's
-        parent chains — every finite seed entry is the cost of a real
-        alive path, hence an upper bound on the fixpoint — so after small
-        churn the solver converges in a couple of sweeps instead of the
-        graph eccentricity ("incremental" in solution, not in semantics).
-
-        **Parents.** Dijkstra pops in ``(dist, node)`` order and only a
-        strict improvement rebinds a parent, so among minimal-cost
+        **Parents.** The heap Dijkstra pops in ``(dist, node)`` order and
+        only a strict improvement rebinds a parent, so among minimal-cost
         candidates the winner is the first popped: the argmin under the
-        key ``(fl(dist[p]+w), dist[p], p)``. Three masked ``reduceat``
-        passes replicate that key exactly.
+        key ``(fl(dist[p] + w), dist[p], p)``. scipy's predecessors are
+        arbitrary under ties, so they are not used; three masked
+        ``reduceat`` passes over each node's candidates apply that key
+        exactly (node indices ascend with node ids).
         """
-        (
-            nodes,
-            index,
-            tail,
-            order,
-            heads_sorted,
-            unique_heads,
-            starts,
-            tail_ids_sorted,
-        ) = self._spt_structure()
+        # Imported here so processes that never run the array engine
+        # (the sink, the event engine) do not load it.
+        from scipy.sparse.csgraph import dijkstra
+
+        arrays = self._spt_structure()
+        nodes = arrays.nodes
         num = len(nodes)
-        sink = self.topology.sink
-        sink_i = index[sink]
+        alive = np.fromiter((self._alive[n] for n in nodes), dtype=bool, count=num)
+        # A dead node selects no parent: its candidates, and so its arcs
+        # in the reversed graph, cost +inf, which also keeps its dist at
+        # +inf so it never relays.
         weights = self._etx
-        alive = np.fromiter(
-            (self._alive[n] for n in nodes), dtype=bool, count=num
-        )
-        # A dead node selects no parent: its incoming candidates are
-        # masked to +inf, which also keeps its dist at +inf so it never
-        # relays (dist[tail] = inf poisons every path through it).
-        tail_s = tail[order]
-        w_s = np.where(alive[heads_sorted], weights[order], _INFINITY)
-        # Seed: fold the new weights along the old parent chains.
-        parent_i = np.arange(num, dtype=np.intp)
-        parent_w = np.full(num, _INFINITY)
-        for i, n in enumerate(nodes):
-            p = self._parent[n]
-            if n != sink and p is not None and alive[i] and self._alive[p]:
-                parent_i[i] = index[p]
-                parent_w[i] = self._etx[self._edge_index[(n, p)]]
-        dist = np.full(num, _INFINITY)
-        dist[sink_i] = 0.0
-        for _ in range(num):
-            folded = np.minimum(dist, dist[parent_i] + parent_w)
-            folded[sink_i] = 0.0
-            if np.array_equal(folded, dist):
-                break
-            dist = folded
-        # Bellman–Ford sweeps to the fixpoint.
-        for _ in range(num):
-            cand_s = dist[tail_s] + w_s
-            new = np.full(num, _INFINITY)
-            new[unique_heads] = np.minimum.reduceat(cand_s, starts)
-            new[sink_i] = 0.0
-            if np.array_equal(new, dist):
-                break
-            dist = new
-        # Parent selection: argmin of (cand, dist[parent], parent id).
-        dist_tail_s = dist[tail_s]
-        cand_s = dist_tail_s + w_s
+        if not alive.all():
+            weights = np.where(alive[arrays.head], weights, _INFINITY)
+        graph = arrays.graph
+        np.take(weights, self._reverse, out=graph.data)
+        dist = dijkstra(graph, indices=arrays.sink)
+        # Parent selection: argmin of (cand, dist[parent], parent index).
+        head = arrays.head
+        starts = arrays.starts
+        heads = arrays.heads
+        tail = graph.indices
+        dist_tail = dist[tail]
+        cand = dist_tail + weights
         c_min = np.full(num, _INFINITY)
-        c_min[unique_heads] = np.minimum.reduceat(cand_s, starts)
-        tie1 = cand_s == c_min[heads_sorted]
-        d_masked = np.where(tie1, dist_tail_s, _INFINITY)
+        c_min[heads] = np.minimum.reduceat(cand, starts)
+        tie1 = cand == c_min[head]
+        d_masked = np.where(tie1, dist_tail, _INFINITY)
         d_min = np.full(num, _INFINITY)
-        d_min[unique_heads] = np.minimum.reduceat(d_masked, starts)
-        tie2 = tie1 & (d_masked == d_min[heads_sorted])
-        id_sentinel = int(tail_ids_sorted.max()) + 1 if len(tail_ids_sorted) else 0
-        id_masked = np.where(tie2, tail_ids_sorted, id_sentinel)
-        id_min = np.full(num, id_sentinel, dtype=np.int64)
-        id_min[unique_heads] = np.minimum.reduceat(id_masked, starts)
-        dist_list = dist.tolist()
-        c_list = c_min.tolist()
-        id_list = id_min.tolist()
-        best_parent: Dict[int, Optional[int]] = {}
-        dist_out: Dict[int, float] = {}
-        for i, n in enumerate(nodes):
-            dist_out[n] = dist_list[i]
-            best_parent[n] = (
-                None if n == sink or c_list[i] == _INFINITY else int(id_list[i])
-            )
-        return best_parent, dist_out
+        d_min[heads] = np.minimum.reduceat(d_masked, starts)
+        tie2 = tie1 & (d_masked == d_min[head])
+        p_masked = np.where(tie2, tail, num)
+        p_min = np.full(num, num, dtype=p_masked.dtype)
+        p_min[heads] = np.minimum.reduceat(p_masked, starts)
+        sink = self.topology.sink
+        best_parent: Dict[int, Optional[int]] = {
+            n: None if n == sink or c == _INFINITY else nodes[p]
+            for n, c, p in zip(nodes, c_min.tolist(), p_min.tolist())
+        }
+        return best_parent, dict(zip(nodes, dist.tolist()))
 
     def _apply_parent_updates(
         self,

@@ -199,7 +199,13 @@ class CollectionSimulation:
         use_array = self.config.engine == "array"
         self._batch = use_array and self.config.forward_delay > 0
         self.sim = array_simulator() if use_array else Simulator()
-        self.routing = RoutingEngine(topology, channel, self.rng, self.config.routing)
+        self.routing = RoutingEngine(
+            topology,
+            channel,
+            self.rng,
+            self.config.routing,
+            spt_mode="array" if use_array else "full",
+        )
         self.mac: Union[ArqMac, FastArqMac] = ArqMac(channel, self.config.mac)
         if use_array:
             # Swap the batched hot paths in; all protocol logic below is
@@ -207,7 +213,6 @@ class CollectionSimulation:
             # streams bit-identical across engines (see net/fastsim.py).
             self.mac = FastArqMac(channel, self.config.mac)
             self.routing.set_etx_sampler(VectorizedEtxSampler(self.routing))
-            self.routing.set_spt_mode("incremental")
         self.ground_truth = GroundTruth(channel)
         self.observers: List[CollectionObserver] = list(observers)
         self.packets: List[Packet] = []

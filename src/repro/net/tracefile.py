@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -119,6 +120,9 @@ def save_trace(
 #: JSON number types (``bool`` is excluded: ``type(True)`` is ``bool``).
 _NUMBER = (int, float)
 
+#: A ``true_losses`` key: ``"u,v"`` with integer ``u`` and ``v``.
+_LINK_KEY = re.compile(r"-?[0-9]+,-?[0-9]+")
+
 
 def _parse_hops(
     lineno: int, hops: Any, max_attempts: int
@@ -178,6 +182,17 @@ def _parse_header(lineno: int, record: Dict[str, Any]) -> TraceHeader:
             f"line {lineno}: max_attempts {header.max_attempts!r} is not a "
             "positive integer"
         )
+    # truth_from_header reads this map after the load; check it here so
+    # a bad entry names its line before any state exists.
+    losses = header.true_losses
+    if type(losses) is not dict:
+        raise ValueError(f"line {lineno}: true_losses {losses!r} is not a JSON object")
+    for key, loss in losses.items():
+        if not _LINK_KEY.fullmatch(key) or type(loss) not in _NUMBER:
+            raise ValueError(
+                f"line {lineno}: true_losses entry {key!r}: {loss!r} must map "
+                '"u,v" with integer u and v to a number'
+            )
     return header
 
 

@@ -224,8 +224,16 @@ class TestHopValidation:
         [
             (_without("max_attempts"), "header has no 'max_attempts'"),
             (_with("max_attempts", "6"), "max_attempts '6' is not a positive integer"),
+            (_with("true_losses", {"1-2": 0.1}), "true_losses entry '1-2': 0.1 must map"),
+            (_with("true_losses", {"a,b": 0.1}), "true_losses entry 'a,b': 0.1 must map"),
+            (_with("true_losses", [[1, 2, 0.1]]), r"true_losses \[\[1, 2, 0.1\]\] is not a JSON"),
+            (_with("true_losses", {"1,2": "0.1"}), "true_losses entry '1,2': '0.1' must map"),
+            (_with("true_losses", {"1,2": True}), "true_losses entry '1,2': True must map"),
         ],
-        ids=["no-max_attempts", "str-max_attempts"],
+        ids=[
+            "no-max_attempts", "str-max_attempts", "dash-key", "str-key", "list-truth",
+            "str-loss", "bool-loss",
+        ],
     )
     def test_header_the_sink_cannot_use_rejected(self, run_result, tmp_path, edit, error):
         path = save_trace(run_result, tmp_path / "run.jsonl")

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.utils.rng import RngRegistry, derive_rng, spawn_seeds
+from repro.utils.rng import RngRegistry, _key_to_ints, derive_rng, spawn_seeds
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -139,3 +139,38 @@ def test_property_streams_reproducible(seed, key):
     a = derive_rng(seed, "s", key).integers(0, 1_000_000, size=5)
     b = derive_rng(seed, "s", key).integers(0, 1_000_000, size=5)
     assert np.array_equal(a, b)
+
+
+#: Seeds of each width SeedSequence treats differently: 0 (one zero
+#: word), one word, two words, and more words than its 4-word pool.
+SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**128 + 1, 2**260),
+)
+KEY_PARTS = st.one_of(
+    st.text(max_size=8),  # non-ASCII text is drawn often
+    st.integers(-(2**70), -1),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**70),
+)
+
+
+@given(SEEDS, st.lists(KEY_PARTS, min_size=1, max_size=4))
+@example(107, ["link", 12, 34])
+@example(2**32, ["ü\u4e2d", -1, 2**32, "traffic"])
+@example(2**128 + 1, [""])
+def test_property_derivation_matches_numpy_seed_sequence(seed, key):
+    """derive_rng seeds PCG64 exactly as numpy's own SeedSequence does."""
+    sequence = np.random.SeedSequence(seed, spawn_key=_key_to_ints(tuple(key)))
+    expected = np.random.Generator(np.random.PCG64(sequence)).random(16)
+    assert np.array_equal(derive_rng(seed, *key).random(16), expected)
+
+
+@given(st.integers(max_value=-1))
+def test_property_negative_seed_rejected_as_numpy_rejects_it(seed):
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(seed, spawn_key=(1,))
+    with pytest.raises(ValueError):
+        derive_rng(seed, "link", 1, 2)
